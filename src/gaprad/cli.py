@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from .geometry import TriMesh, bb_heat_rate, load_mesh, view_factor
 from .materials import Black, Constant, Drude, LorentzSum, Material, Tabulated
 from .planar import LayerStack
 from .quadrature import IntegrationSpec
-from .spectral import (ZERO_POINT_NOTE, conductance, heat_flux, neq_pressure,
-                       spectrum)
+from .spectral import (ZERO_POINT_NOTE, TableRangeError, conductance, heat_flux,
+                       neq_pressure, spectrum)
 from .transmissivity import GapSystem
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -266,9 +266,11 @@ def _stack_of(raw: _Raw, body: str, errors: list[str], base_dir: Path) -> LayerS
     return LayerStack(terminal, tuple(films))
 
 
-def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
+def parse_config(text: str, base_dir: Path | str = ".",
+                 mode: str | None = None) -> RunConfig:
     """Parse and validate config text; raises ConfigError listing all
-    problems with their line numbers."""
+    problems with their line numbers.  mode, when given, replaces the
+    [output] mode key (which may then be absent)."""
     base_dir = Path(base_dir)
     errors: list[str] = []
     raw = _parse_sections(text, errors)
@@ -290,12 +292,15 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
             if key not in allowed:
                 errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
 
-    mode, mode_line = raw.get("output", "mode")
+    where = ""
+    if mode is None:
+        mode, mode_line = raw.get("output", "mode")
+        where = f"line {mode_line}: "
     if mode is None:
         errors.append("missing key 'mode' in [output]")
         raise ConfigError(errors)
     if mode not in MODES:
-        errors.append(f"line {mode_line}: unknown mode {mode!r}; choose from {MODES}")
+        errors.append(f"{where}unknown mode {mode!r}; choose from {MODES}")
         raise ConfigError(errors)
 
     cfg = RunConfig(mode=mode)
@@ -398,22 +403,16 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _metadata_lines(cfg: RunConfig) -> list[str]:
-    return [
-        f"# config_sha256 = {cfg.config_sha256}",
-        f"# version = {__version__}",
-        f"# mode = {cfg.mode}",
-        f"# threads = {cfg.threads}",
-    ]
+def _metadata_lines(cfg: RunConfig, prefix: str = "") -> list[str]:
+    """The keys that identify a run: '# '-prefixed in CSV, bare in summaries."""
+    return [f"{prefix}{k} = {v}" for k, v in (
+        ("config_sha256", cfg.config_sha256), ("version", __version__),
+        ("mode", cfg.mode), ("threads", cfg.threads))]
 
 
 def _write_summary(cfg: RunConfig, rows: list[tuple[str, str]]) -> Path:
     path = cfg.out_dir / "summary.txt"
-    lines = [f"config_sha256 = {cfg.config_sha256}",
-             f"version = {__version__}",
-             f"mode = {cfg.mode}",
-             f"threads = {cfg.threads}"]
-    lines += [f"{k} = {v}" for k, v in rows]
+    lines = _metadata_lines(cfg) + [f"{k} = {v}" for k, v in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -427,7 +426,7 @@ def run(cfg: RunConfig) -> int:
         results = spectrum(cfg.system, cfg.grid, spec, threads=cfg.threads)
         ok = all(r.energy.converged and r.momentum.converged for r in results)
         path = cfg.out_dir / "spectrum.csv"
-        lines = _metadata_lines(cfg)
+        lines = _metadata_lines(cfg, "# ")
         if not ok:
             lines.append("# warning = quadrature did not converge on some rows (partial output)")
         lines.append(CSV_HEADER)
@@ -502,7 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to config file")
     parser.add_argument("--mode", choices=MODES, help="override the config mode")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--threads", type=int, help="worker threads for grid modes")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--tolerance", type=float, help="override relative tolerance")
     args = parser.parse_args(argv)
 
@@ -512,19 +512,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = config_path.read_text(encoding="utf-8")
 
-    if args.mode is not None:
-        # textual override so validation sees the effective mode
-        if re.search(r"^\s*mode\s*=", text, flags=re.MULTILINE):
-            text = re.sub(r"^(\s*mode\s*=).*$", rf"\g<1> {args.mode}", text,
-                          count=1, flags=re.MULTILINE)
-        elif re.search(r"^\s*\[output\]", text, flags=re.MULTILINE):
-            text = re.sub(r"^(\s*\[output\]\s*)$", rf"\g<1>\nmode = {args.mode}",
-                          text, count=1, flags=re.MULTILINE)
-        else:
-            text += f"\n[output]\nmode = {args.mode}\n"
-
     try:
-        cfg = parse_config(text, base_dir=config_path.parent)
+        cfg = parse_config(text, base_dir=config_path.parent, mode=args.mode)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -537,15 +526,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg.threads = max(1, args.threads)
     if args.tolerance is not None:
         try:
-            cfg.integration = IntegrationSpec(
-                args.tolerance, cfg.integration.abs_floor,
-                cfg.integration.max_subdivisions, cfg.integration.window)
+            cfg.integration = replace(cfg.integration, rtol=args.tolerance)
         except ValueError as exc:
             print(f"error: --tolerance: {exc}", file=sys.stderr)
             return 2
 
     try:
         return run(cfg)
+    except TableRangeError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

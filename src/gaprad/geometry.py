@@ -26,6 +26,7 @@ import numpy as np
 
 from .materials import CONSTANTS, planck_energy
 from .quadrature import IntegrationSpec, adaptive_integrate
+from .spectral import _outer_edges, auto_window
 
 __all__ = [
     "TriMesh",
@@ -469,9 +470,7 @@ def bb_heat_rate(m1: TriMesh, m2: TriMesh, T1: float, T2: float,
     if T1 == T2:
         return HeatRateResult(value=closed, spectral=0.0, viewfactor=F)
 
-    t_max = max(T1, T2)
-    scale = CONSTANTS.k_b * t_max / CONSTANTS.hbar
-    window = spec.window or (1e-4 * scale, 60.0 * scale)
+    window = spec.window or auto_window(max(T1, T2))
     coeff = a1f / (2.0 * math.pi * _C**2)
 
     def f(omegas: np.ndarray) -> np.ndarray:
@@ -479,6 +478,6 @@ def bb_heat_rate(m1: TriMesh, m2: TriMesh, T1: float, T2: float,
         return d_theta * coeff * omegas**2 / (2.0 * math.pi)
 
     res = adaptive_integrate(f, window[0], window[1], spec,
-                             initial_edges=np.geomspace(window[0], window[1], 33))
+                             initial_edges=_outer_edges(*window))
     return HeatRateResult(value=closed, spectral=res.value, viewfactor=F,
                           window=window)

@@ -197,7 +197,7 @@ def eval_response(material: Material, omega: float) -> tuple[complex, complex]:
         w = material.omega
         if omega < w[0] or omega > w[-1]:
             raise ValueError(
-                f"omega {omega!r} outside table range [{w[0]!r}, {w[-1]!r}]; "
+                f"omega {omega:.6e} outside table range [{w[0]:.6e}, {w[-1]:.6e}]; "
                 "extrapolation is not supported"
             )
         eps = complex(np.interp(omega, w, material.eps.real),

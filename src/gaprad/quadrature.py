@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,8 +84,7 @@ class IntegrationSpec:
 
     def tighter(self, factor: float) -> "IntegrationSpec":
         """Copy with the relative tolerance divided by factor."""
-        return IntegrationSpec(self.rtol / factor, self.abs_floor,
-                               self.max_subdivisions, self.window)
+        return replace(self, rtol=self.rtol / factor)
 
 
 @dataclass(frozen=True)
@@ -147,12 +146,10 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
     heap: list[tuple[float, int, float, float, float]] = []
     seq = 0
     total = 0.0
-    err_total = 0.0
     for lo, hi, v, e in zip(los, his, vals, errs):
         heapq.heappush(heap, (-e, seq, lo, hi, v))
         seq += 1
         total += v
-        err_total += e
 
     nsub = 0
     converged = True
@@ -165,7 +162,6 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
             break
         _, _, lo, hi, v = heapq.heappop(heap)
         total -= v
-        err_total -= worst_err
         mid = 0.5 * (lo + hi)
         v2, e2 = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]))
         neval += 30
@@ -173,7 +169,6 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
             heapq.heappush(heap, (-pe, seq, plo, phi, pv))
             seq += 1
             total += pv
-            err_total += pe
         nsub += 1
 
     # compensated final sums: panel order must not matter

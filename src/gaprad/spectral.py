@@ -16,14 +16,13 @@ scope here.  Every pressure result carries that note in its metadata.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CONSTANTS, planck_energy, planck_energy_dT
+from .materials import CONSTANTS, Tabulated, planck_energy, planck_energy_dT
 from .quadrature import IntegrationSpec, adaptive_integrate
-from .transmissivity import (ChannelBreakdown, GapSystem,
+from .transmissivity import (NOISE_FRACTION, ChannelBreakdown, GapSystem,
                              energy_transmissivity_pp,
                              momentum_transmissivity_pp)
 
@@ -35,6 +34,7 @@ __all__ = [
     "conductance",
     "neq_pressure",
     "spectrum",
+    "TableRangeError",
     "ZERO_POINT_NOTE",
 ]
 
@@ -79,34 +79,50 @@ def auto_window(T_max: float) -> tuple[float, float]:
 
 
 def _outer_edges(lo: float, hi: float) -> np.ndarray:
+    """Log-spaced seed panels of every Bose-weighted frequency integral."""
     return np.geomspace(lo, hi, _OUTER_SEED_PANELS + 1)
 
 
-# observables smaller than this fraction of their blackbody closure are
-# below the rounding scale of the channel numerators; the frequency
-# quadrature stops refining there instead of chasing noise
-_NOISE_FRACTION = 1e-13
+class TableRangeError(ValueError):
+    """A frequency window or grid leaves the range of a tabulated medium."""
 
 
-def _integrate_spectrum(weight, transmissivity, spec: IntegrationSpec,
-                        window: tuple[float, float],
+def _check_tables(system: GapSystem, lo: float, hi: float) -> None:
+    for name, stack in (("body1", system.body1), ("body2", system.body2)):
+        for m in (stack.terminal, *(film for film, _ in stack.films)):
+            if isinstance(m, Tabulated) and (lo < m.omega[0] or hi > m.omega[-1]):
+                raise TableRangeError(
+                    f"{name}: frequencies [{lo:.6e}, {hi:.6e}] rad/s leave the "
+                    f"range [{m.omega[0]:.6e}, {m.omega[-1]:.6e}] rad/s of its "
+                    "tabulated medium, which is not extrapolated")
+
+
+def _window(system: GapSystem, spec: IntegrationSpec, T_max: float) -> tuple[float, float]:
+    """The spec's window, else the automatic one; either must stay inside
+    every tabulated medium, checked before the first integrand evaluation."""
+    window = spec.window or auto_window(T_max)
+    _check_tables(system, *window)
+    return window
+
+
+def _integrate_spectrum(weight, transmissivity, system: GapSystem,
+                        spec: IntegrationSpec, window: tuple[float, float],
                         noise_scale: float) -> tuple[float, float, bool]:
-    inner_spec = IntegrationSpec(spec.rtol / _INNER_FACTOR, spec.abs_floor,
-                                 spec.max_subdivisions)
+    inner_spec = spec.tighter(_INNER_FACTOR)
     inner_ok = True
 
     def f(omegas: np.ndarray) -> np.ndarray:
         nonlocal inner_ok
         out = np.empty_like(omegas)
         for i, w in enumerate(omegas):
-            bd = transmissivity(w, inner_spec)
+            bd = transmissivity(system, w, inner_spec)
             inner_ok = inner_ok and bd.converged
             out[i] = weight(w) * bd.total / _TWO_PI
         return out
 
     lo, hi = window
     res = adaptive_integrate(f, lo, hi, spec, initial_edges=_outer_edges(lo, hi),
-                             abs_floor=_NOISE_FRACTION * noise_scale)
+                             abs_floor=NOISE_FRACTION * noise_scale)
     return res.value, res.error, res.converged and inner_ok
 
 
@@ -121,16 +137,14 @@ def heat_flux(system: GapSystem, spec: IntegrationSpec = _DEFAULT_SPEC) -> Scala
     if system.T1 == 0.0 and system.T2 == 0.0:
         raise ValueError("heat flux needs at least one positive temperature")
     T1, T2 = system.T1, system.T2
-    window = spec.window or auto_window(max(T1, T2))
+    window = _window(system, spec, max(T1, T2))
 
     def weight(w: float) -> float:
         return planck_energy(w, T1) - planck_energy(w, T2)
 
-    def trans(w: float, inner: IntegrationSpec) -> ChannelBreakdown:
-        return energy_transmissivity_pp(system, w, inner)
-
     scale = CONSTANTS.sigma_sb * abs(T1**4 - T2**4)
-    value, error, ok = _integrate_spectrum(weight, trans, spec, window, scale)
+    value, error, ok = _integrate_spectrum(weight, energy_transmissivity_pp, system,
+                                           spec, window, scale)
     return ScalarResult(value, error, window, ok)
 
 
@@ -143,16 +157,14 @@ def conductance(system: GapSystem, T: float,
     """
     if not (T > 0.0):
         raise ValueError("conductance needs T > 0")
-    window = spec.window or auto_window(T)
+    window = _window(system, spec, T)
 
     def weight(w: float) -> float:
         return planck_energy_dT(w, T)
 
-    def trans(w: float, inner: IntegrationSpec) -> ChannelBreakdown:
-        return energy_transmissivity_pp(system, w, inner)
-
     scale = 4.0 * CONSTANTS.sigma_sb * T**3
-    value, error, ok = _integrate_spectrum(weight, trans, spec, window, scale)
+    value, error, ok = _integrate_spectrum(weight, energy_transmissivity_pp, system,
+                                           spec, window, scale)
     return ScalarResult(value, error, window, ok)
 
 
@@ -170,37 +182,29 @@ def neq_pressure(system: GapSystem, source: int, T_source: float,
         raise ValueError(f"source must be 1 or 2, got {source!r}")
     if not (T_source > 0.0):
         raise ValueError("neq_pressure needs T_source > 0")
-    sys_eff = system if source == 1 else system.swapped()
-    window = spec.window or auto_window(T_source)
+    window = _window(system, spec, T_source)
 
     def weight(w: float) -> float:
         return planck_energy(w, T_source)
 
-    def trans(w: float, inner: IntegrationSpec) -> ChannelBreakdown:
-        return momentum_transmissivity_pp(sys_eff, w, inner)
-
     scale = (2.0 / 3.0) * CONSTANTS.sigma_sb * T_source**4 / CONSTANTS.c
-    value, error, ok = _integrate_spectrum(weight, trans, spec, window, scale)
+    value, error, ok = _integrate_spectrum(
+        weight, momentum_transmissivity_pp,
+        system if source == 1 else system.swapped(), spec, window, scale)
     return ScalarResult(value, error, window, ok, note=ZERO_POINT_NOTE)
 
 
 def spectrum(system: GapSystem, omegas, spec: IntegrationSpec = _DEFAULT_SPEC,
              threads: int = 1) -> list[SpectralResult]:
-    """Energy and momentum breakdowns on a frequency grid.
+    """Energy and momentum breakdowns on a frequency grid, in grid order.
 
-    Grid points are independent, so threads > 1 evaluates them in a thread
-    pool; results are returned in grid order either way.
+    threads is accepted for compatibility and has no effect: the grid is
+    evaluated in order on the calling thread.
     """
     omegas = [float(w) for w in np.atleast_1d(omegas)]
-
-    def one(w: float) -> SpectralResult:
-        return SpectralResult(
-            omega=w,
-            energy=energy_transmissivity_pp(system, w, spec),
-            momentum=momentum_transmissivity_pp(system, w, spec),
-        )
-
-    if threads > 1 and len(omegas) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, omegas))
-    return [one(w) for w in omegas]
+    if omegas:
+        _check_tables(system, min(omegas), max(omegas))
+    return [SpectralResult(omega=w,
+                           energy=energy_transmissivity_pp(system, w, spec),
+                           momentum=momentum_transmissivity_pp(system, w, spec))
+            for w in omegas]

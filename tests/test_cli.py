@@ -1,6 +1,7 @@
 """Config parsing, run modes, output files, reproducibility."""
 
 import csv
+import hashlib
 import math
 
 import pytest
@@ -325,3 +326,31 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.conf")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_mode_override_needs_no_mode_key(tmp_path):
+    # a commented [output] header without a mode key: --mode supplies it
+    text = BB_GAP + "\n[integration]\nrtol = 1e-6\n\n[output]   # results\ndir = out\n"
+    assert run_cli(tmp_path, text, "--mode", "heat-flux") == 0
+    payload = (tmp_path / "out" / "summary.txt").read_text()
+    assert "mode = heat-flux" in payload.splitlines()
+
+
+def test_mode_override_hashes_the_file_as_read(tmp_path):
+    text = BB_GAP + "\n[integration]\nrtol = 1e-6\n\n[output]\nmode = conductance\ndir = out\n"
+    assert run_cli(tmp_path, text, "--mode", "heat-flux") == 0
+    entries = dict(line.split(" = ", 1) for line in
+                   (tmp_path / "out" / "summary.txt").read_text().splitlines())
+    assert entries["mode"] == "heat-flux"
+    assert entries["config_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_window_outside_table_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "eps.txt").write_text("1e13 4.0 0.5 1.0 0.0\n1e15 2.0 0.1 1.0 0.0\n")
+    text = BB_GAP.replace("[body1]\nmaterial = black",
+                          "[body1]\nmaterial = tabulated\ntable = eps.txt")
+    assert run_cli(tmp_path, text + "\n[output]\nmode = heat-flux\ndir = out\n") == 2
+    err = capsys.readouterr().err
+    assert "config error: body1" in err
+    assert "[1.000000e+13, 1.000000e+15]" in err
+    assert not (tmp_path / "out" / "summary.txt").exists()

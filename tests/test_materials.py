@@ -200,3 +200,11 @@ def test_planck_vectorized_matches_scalar():
     vec_dt = planck_energy_dT(omegas, T)
     for w, v in zip(omegas, vec_dt):
         assert v == planck_energy_dT(float(w), T)
+
+
+def test_out_of_table_message_formats_numbers():
+    mat = Tabulated(np.array([1e13, 4e13]), np.array([2 + 0.1j, 5 + 0.4j]), np.ones(2, complex))
+    with pytest.raises(ValueError) as info:
+        eval_response(mat, np.float64(5e13))
+    assert str(info.value).startswith(
+        "omega 5.000000e+13 outside table range [1.000000e+13, 4.000000e+13]")

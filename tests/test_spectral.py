@@ -6,7 +6,8 @@ import pytest
 from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
                     IntegrationSpec, LayerStack, auto_window, conductance,
                     heat_flux, neq_pressure, spectrum)
-from gaprad.spectral import ZERO_POINT_NOTE
+from gaprad import Tabulated
+from gaprad.spectral import ZERO_POINT_NOTE, TableRangeError
 from conftest import SIC
 
 C = CONSTANTS.c
@@ -138,3 +139,39 @@ def test_spectrum_grid_and_threads():
         assert a.energy.total == b.energy.total
         assert a.momentum.total == b.momentum.total
     assert all(r.energy.total >= 0.0 for r in serial)
+
+
+def _table_1e13_1e15():
+    w = np.array([1e13, 1e14, 1e15])
+    return Tabulated(w, np.array([4 + 0.5j, 3 + 0.3j, 2 + 0.1j]), np.ones(3, complex))
+
+
+def test_window_outside_table_rejected_before_integration(monkeypatch):
+    import gaprad.spectral as sp
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("integrand evaluated before the window check")
+
+    for attr in ("energy_transmissivity_pp", "momentum_transmissivity_pp"):
+        monkeypatch.setattr(sp, attr, no_call)
+    table = LayerStack(_table_1e13_1e15())
+    sys = GapSystem(table, BB, 1e-6, 400.0, 300.0)
+    calls = [lambda: heat_flux(sys), lambda: conductance(sys, 300.0),
+             lambda: neq_pressure(sys, 1, 400.0), lambda: spectrum(sys, [1e12, 1e14])]
+    for call in calls:
+        with pytest.raises(TableRangeError) as info:
+            call()
+        assert "body1" in str(info.value)
+        assert "[1.000000e+13, 1.000000e+15]" in str(info.value)
+    # the bodies are named as given, also when body 2 is the pressure source
+    with pytest.raises(TableRangeError, match="^body2"):
+        neq_pressure(GapSystem(BB, table, 1e-6, 300.0, 400.0), 2, 400.0)
+    with pytest.raises(TableRangeError, match="^body2"):
+        heat_flux(GapSystem(BB, LayerStack(BB.terminal, ((_table_1e13_1e15(), 1e-7),)),
+                            1e-6, 400.0, 300.0))
+
+
+def test_window_inside_table_integrates():
+    sys = GapSystem(LayerStack(_table_1e13_1e15()), BB, 1e-6, 400.0, 300.0)
+    res = heat_flux(sys, IntegrationSpec(rtol=1e-4, window=(1e13, 1e15)))
+    assert res.converged and res.value > 0.0
