@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import TriMesh, bb_heat_rate, load_mesh, view_factor
+from .geometry import TRIANGLE_RULES, TriMesh, bb_heat_rate, load_mesh, view_factor
 from .materials import Black, Constant, Drude, LorentzSum, Material, Tabulated
 from .planar import LayerStack
 from .quadrature import IntegrationSpec
@@ -307,7 +307,7 @@ def parse_config(text: str, base_dir: Path | str = ".",
     out_dir, _ = raw.get("output", "dir")
     if out_dir is not None:
         cfg.out_dir = base_dir / out_dir
-    cfg.threads = _int_of(raw, "integration", "threads", errors, 1) or 1
+    cfg.threads = max(1, _int_of(raw, "integration", "threads", errors, 1))
 
     rtol = _float_of(raw, "integration", "rtol", errors, 1e-8)
     abs_floor = _float_of(raw, "integration", "abs_floor", errors, 1e-300)
@@ -383,6 +383,9 @@ def parse_config(text: str, base_dir: Path | str = ".",
             except ValueError as exc:
                 errors.append(f"line {lineno}: {exc}")
         cfg.quad_order = _int_of(raw, "geometry", "quad_order", errors, 4)
+        if cfg.quad_order not in TRIANGLE_RULES:
+            errors.append(f"line {raw.get('geometry', 'quad_order')[1]}: key 'quad_order': "
+                          f"must be one of {sorted(TRIANGLE_RULES)}, got {cfg.quad_order}")
         if len(meshes) == 2:
             cfg.meshes = (meshes[0], meshes[1])
         if mode == "bb-heat":

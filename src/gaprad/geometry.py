@@ -422,18 +422,18 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
         r = np.sqrt(r2)
         rhat = rvec / r[..., None]
         phase = np.exp(1j * k * r) / (4.0 * math.pi * r)
-        eye = np.eye(3)
-        proj = eye - rhat[..., :, None] * rhat[..., None, :]    # (a,b,c,3,3)
-        ge = phase[..., None, None] * proj                      # Ge(r1,r2) = Gm(r2,r1)
-        gm_back = ge                                            # projector is even in Rhat
-        gM_fwd = 1j * k * phase[..., None, None] * _cross_matrix(rhat)
-        gM_back = 1j * k * phase[..., None, None] * _cross_matrix(-rhat)
         x1 = _cross_matrix(n1)[:, None, None, :, :]
         x2 = _cross_matrix(n2)[:, None, None, :, :]
-        t1 = np.einsum("abcij,abcjk,abckl,abcli->abc",
-                       x1 + 0j, ge, x2 + 0j, np.conj(gm_back))
-        t2 = np.einsum("abcij,abcjk,abckl,abcli->abc",
-                       x1 + 0j, gM_fwd, x2 + 0j, np.conj(gM_back))
+
+        def pair_trace(g):
+            # Tr[(n1 x G)(n2 x G)*] per point pair; each dyad lives only here
+            return np.einsum("abcij,abcjk,abckl,abcli->abc", x1, g, x2, g.conj())
+
+        # backward dyads: Gm(r2,r1) = Ge(r1,r2), the projector being even in
+        # Rhat, and GM(r2,r1) = -GM(r1,r2) exactly, the curl being odd
+        t1 = pair_trace(phase[..., None, None]
+                        * (np.eye(3) - rhat[..., :, None] * rhat[..., None, :]))
+        t2 = -pair_trace(1j * k * phase[..., None, None] * _cross_matrix(rhat))
         return 2.0 * (k * k * t1 + t2).real
 
     _check_separation(m1, m2)

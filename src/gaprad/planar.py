@@ -125,7 +125,7 @@ def _media_chain(stack: LayerStack, omega: float):
     return chain
 
 
-def stack_reflection(stack: LayerStack, pol: Polarization, omega: float, krho,
+def stack_reflection(stack: LayerStack, pol: Polarization | None, omega: float, krho,
                      kz_host_sq=None):
     """Reflection coefficient of the full stack seen from vacuum.
 
@@ -136,6 +136,10 @@ def stack_reflection(stack: LayerStack, pol: Polarization, omega: float, krho,
     is applied from the terminal medium up to the vacuum interface.  A black
     terminal (or film) truncates the chain; a bare black half space returns
     exactly zero.  krho may be scalar or ndarray.
+
+    pol=None stacks the s (mu) and p (eps) weights on a leading axis, so one
+    chain, one set of kz and one recursion return shape (2,) + shape(krho),
+    s first; for ndarray krho each row is bitwise its single-pol value.
 
     kz_host_sq optionally supplies the exact vacuum kz^2 = (w/c)^2 - krho^2
     (the evanescent-branch quadrature knows it without cancellation); every
@@ -148,7 +152,10 @@ def stack_reflection(stack: LayerStack, pol: Polarization, omega: float, krho,
         kz_host_sq = (k0 - krho_arr) * (k0 + krho_arr)
     chain = _media_chain(stack, omega)
     kzs = [_branch_sqrt(kz_host_sq + (e * m - 1.0) * k0 * k0) for e, m, _ in chain]
-    weights = [m if pol is Polarization.S else e for e, m, _ in chain]
+    if pol is None:
+        weights = [np.reshape([m, e], (2,) + (1,) * np.ndim(krho)) for e, m, _ in chain]
+    else:
+        weights = [m if pol is Polarization.S else e for e, m, _ in chain]
 
     n = len(chain)
     r = _fresnel(weights[n - 2], kzs[n - 2], weights[n - 1], kzs[n - 1])
@@ -157,4 +164,4 @@ def stack_reflection(stack: LayerStack, pol: Polarization, omega: float, krho,
         phase = np.exp(2j * kzs[j + 1] * d_next)
         r_if = _fresnel(weights[j], kzs[j], weights[j + 1], kzs[j + 1])
         r = (r_if + r * phase) / (1.0 + r_if * r * phase)
-    return r if np.ndim(krho) else complex(np.asarray(r))
+    return r if pol is None or np.ndim(krho) else complex(np.asarray(r))

@@ -4,16 +4,17 @@ One integrator serves every integral in the package: the in-plane
 wavevector integrals of the transmissivities, the frequency integrals of
 the spectral module, and the blackbody closure checks.  Each panel carries
 a 15-point Kronrod value together with the error estimate given by its
-difference from the embedded 7-point Gauss value; the panel with the
-largest estimate is bisected until that local error drops below the
-relative tolerance times the running total (or an absolute floor for
-integrals that vanish).  Kronrod nodes are interior, so endpoints are
-never evaluated.
+difference from the embedded 7-point Gauss value.  Each sweep bisects
+every panel whose error exceeds the relative tolerance times the running
+total (or an absolute floor for integrals that vanish) and evaluates all
+new panels in one integrand call, the batched idiom of QUADPACK and
+quad_vec.  Vector integrands (both polarizations of a transmissivity)
+pass the test component by component.  Kronrod nodes are interior, so
+endpoints are never evaluated.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -89,25 +90,29 @@ class IntegrationSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: float
-    error: float                      # sum of panel error estimates
+    value: float                      # ndarray (m,) for an (n, m) integrand
+    error: float                      # sum of panel error estimates, likewise
     converged: bool
     worst_interval: tuple[float, float] | None = None   # set when not converged
     neval: int = 0
 
 
-def _eval_panels(f: Callable, edges_lo: np.ndarray, edges_hi: np.ndarray):
-    """Kronrod value and Gauss-Kronrod error estimate for a batch of panels."""
-    half = 0.5 * (edges_hi - edges_lo)
-    mid = 0.5 * (edges_hi + edges_lo)
+def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod values and Gauss-Kronrod error estimates, (panels, components),
+    and whether f returned one value per abscissa."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     x = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    fx = np.asarray(f(x), dtype=float).reshape(len(half), 15)
-    if not np.all(np.isfinite(fx)):
-        bad = x.reshape(len(half), 15)[~np.isfinite(fx)]
-        raise ValueError(f"non-finite integrand value near x={bad.flat[0]!r}")
-    vals = half * (fx @ _WK)
-    errs = np.abs(vals - half * (fx @ _WG))
-    return vals, errs
+    fx = np.asarray(f(x), dtype=float)
+    scalar = fx.ndim == 1
+    fx = fx.reshape(len(half), 15, -1)
+    finite = np.isfinite(fx).all(axis=2)
+    if not finite.all():
+        bad = x.reshape(len(half), 15)[~finite]
+        raise ValueError(f"non-finite integrand value near x={bad[0]!r}")
+    vals = half[:, None] * np.einsum("pic,i->pc", fx, _WK)
+    errs = np.abs(vals - half[:, None] * np.einsum("pic,i->pc", fx, _WG))
+    return vals, errs, scalar
 
 
 def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -117,11 +122,17 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
                        abs_floor: float = 0.0) -> IntegralResult:
     """Integrate f over [a, b] to the tolerances in spec.
 
-    f must accept an ndarray of abscissae and return matching values; it is
-    never called at a or b.  initial_edges seeds the panel layout (useful to
-    resolve known scales before adaptivity starts); it must begin at a and
-    end at b.  On subdivision exhaustion the partial result is returned with
-    converged=False and the location of the worst remaining panel.
+    f must accept an ndarray of n abscissae and return n values, or an
+    (n, m) array of m components; it is never called at a or b.  Each
+    sweep bisects every panel on which some component's error exceeds
+    max(rtol * |its running total|, floor) and evaluates the new panels in
+    one call.  The budget is max_subdivisions bisections per component;
+    when it runs short, the panels furthest over their tolerance go first.
+    initial_edges seeds the panel layout (useful to resolve known scales
+    before adaptivity starts); it must begin at a and end at b.  On
+    exhaustion the partial result is returned with converged=False and the
+    location of the worst remaining panel.  value and error are floats for
+    a scalar integrand and (m,) arrays otherwise.
 
     abs_floor raises the spec's absolute floor for this one integral;
     callers that know the rounding scale of their integrand (for example a
@@ -139,41 +150,39 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
         if edges[0] != a or edges[-1] != b or np.any(np.diff(edges) <= 0.0):
             raise ValueError("initial_edges must increase strictly from a to b")
 
-    los, his = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, los, his)
-    neval = 15 * len(los)
-
-    heap: list[tuple[float, int, float, float, float]] = []
-    seq = 0
-    total = 0.0
-    for lo, hi, v, e in zip(los, his, vals, errs):
-        heapq.heappush(heap, (-e, seq, lo, hi, v))
-        seq += 1
-        total += v
-
-    nsub = 0
-    converged = True
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs, scalar = _eval_panels(f, lo, hi)
+    neval = 15 * len(lo)
+    budget = spec.max_subdivisions * vals.shape[1]
     while True:
-        worst_err = -heap[0][0]
-        if worst_err <= max(spec.rtol * abs(total), floor):
+        tol = np.maximum(spec.rtol * np.abs(vals.sum(axis=0)), floor)
+        # per panel, the largest error/tolerance ratio of a failing component
+        with np.errstate(divide="ignore"):
+            excess = np.divide(errs, tol, out=np.zeros_like(errs),
+                               where=errs > tol).max(axis=1)
+        split = np.flatnonzero(excess)
+        if len(split) == 0 or budget == 0:
             break
-        if nsub >= spec.max_subdivisions:
-            converged = False
-            break
-        _, _, lo, hi, v = heapq.heappop(heap)
-        total -= v
-        mid = 0.5 * (lo + hi)
-        v2, e2 = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]))
-        neval += 30
-        for plo, phi, pv, pe in zip((lo, mid), (mid, hi), v2, e2):
-            heapq.heappush(heap, (-pe, seq, plo, phi, pv))
-            seq += 1
-            total += pv
-        nsub += 1
+        split = split[np.argsort(-excess[split], kind="stable")[:budget]]
+        budget -= len(split)
+        mid = 0.5 * (lo[split] + hi[split])
+        v2, e2, _ = _eval_panels(f, np.concatenate([lo[split], mid]),
+                                 np.concatenate([mid, hi[split]]))
+        neval += 30 * len(split)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        vals = np.concatenate([vals[keep], v2])
+        errs = np.concatenate([errs[keep], e2])
 
     # compensated final sums: panel order must not matter
-    value = math.fsum(item[4] for item in heap)
-    error = math.fsum(-item[0] for item in heap)
-    worst = None if converged else (heap[0][2], heap[0][3])
+    value = np.array([math.fsum(col) for col in vals.T])
+    error = np.array([math.fsum(col) for col in errs.T])
+    if scalar:
+        value, error = float(value[0]), float(error[0])
+    converged = len(split) == 0
+    i = excess.argmax()
+    worst = None if converged else (float(lo[i]), float(hi[i]))
     return IntegralResult(value=value, error=error, converged=converged,
                           worst_interval=worst, neval=neval)

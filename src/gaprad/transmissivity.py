@@ -114,8 +114,9 @@ def energy_integrand(r1, r2, krho, omega: float, gap: float,
                      pol: Polarization | None = None, khz=None):
     """Per-channel photon transmission probability at one (krho, omega).
 
-    r1, r2 are the stack reflection coefficients of the two bodies for the
-    polarization channel being accumulated (pol is carried for reporting
+    r1, r2 are the stack reflection coefficients of the two bodies for one
+    polarization channel, or for both stacked on a leading axis as
+    stack_reflection(pol=None) returns them (pol is carried for reporting
     only).  The propagating form is
         (1-|R1|^2)(1-|R2|^2) / |1 - R1 R2 e^{2i kz l}|^2
     and the evanescent form
@@ -156,22 +157,24 @@ def momentum_integrand(r1, r2, krho, omega: float, gap: float,
 NOISE_FRACTION = 1e-13
 
 
-def _channel(system: GapSystem, omega: float, pol: Polarization,
-             integrand, spec: IntegrationSpec, momentum: bool):
-    """(propagating, evanescent) IntegralResults for one polarization."""
+def _breakdown(system: GapSystem, omega: float, integrand,
+               spec: IntegrationSpec, momentum: bool = False) -> ChannelBreakdown:
+    """One two-component (s, p) wavevector integral per branch."""
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     k0 = omega / _C
     gap = system.gap
 
     def reflections(krho, kz_host_sq):
-        r1 = stack_reflection(system.body1, pol, omega, krho, kz_host_sq)
-        r2 = stack_reflection(system.body2, pol, omega, krho, kz_host_sq)
-        return r1, r2
+        # rows s and p of each body from one recursion
+        return (stack_reflection(system.body1, None, omega, krho, kz_host_sq),
+                stack_reflection(system.body2, None, omega, krho, kz_host_sq))
 
     def f_prop(krho):
         kzh2 = (k0 - krho) * (k0 + krho)
         r1, r2 = reflections(krho, kzh2)
-        return krho / (2.0 * math.pi) * integrand(r1, r2, krho, omega, gap, pol,
-                                                  khz=np.sqrt(kzh2))
+        return (krho / (2.0 * math.pi) * integrand(r1, r2, krho, omega, gap,
+                                                   khz=np.sqrt(kzh2))).T
 
     def f_evan(t):
         # substitution t = |kz| * gap: krho dkrho = t dt / gap^2, and the
@@ -179,8 +182,8 @@ def _channel(system: GapSystem, omega: float, pol: Polarization,
         q = t / gap
         krho = np.hypot(k0, q)
         r1, r2 = reflections(krho, -q * q)
-        return t / (2.0 * math.pi * gap * gap) * integrand(r1, r2, krho, omega,
-                                                           gap, pol, khz=q)
+        return (t / (2.0 * math.pi * gap * gap) * integrand(r1, r2, krho, omega,
+                                                            gap, khz=q)).T
 
     t_max = EVANESCENT_CUTOFF
     # Landauer-ceiling scales of the two branches (unit integrand over the
@@ -194,42 +197,19 @@ def _channel(system: GapSystem, omega: float, pol: Polarization,
     prop_edges = np.linspace(0.0, k0, 17)
     res_prop = adaptive_integrate(f_prop, 0.0, k0, spec, initial_edges=prop_edges,
                                   abs_floor=NOISE_FRACTION * scale_prop)
-
     evan_edges = np.concatenate([[0.0], np.geomspace(1e-6 * t_max, t_max, 64)])
     res_evan = adaptive_integrate(f_evan, 0.0, t_max, spec, initial_edges=evan_edges,
                                   abs_floor=NOISE_FRACTION * scale_evan)
-    return res_prop, res_evan
 
-
-def _breakdown(system: GapSystem, omega: float, integrand,
-               spec: IntegrationSpec, momentum: bool = False) -> ChannelBreakdown:
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    pieces = {}
-    error = 0.0
-    converged = True
-    warnings: list[str] = []
-    for pol in (Polarization.S, Polarization.P):
-        res_prop, res_evan = _channel(system, omega, pol, integrand, spec, momentum)
-        pieces[("prop", pol)] = res_prop.value
-        pieces[("evan", pol)] = res_evan.value
-        error += res_prop.error + res_evan.error
-        for branch, res in (("propagating", res_prop), ("evanescent", res_evan)):
-            if not res.converged:
-                converged = False
-                warnings.append(
-                    f"{branch} {pol.value}-channel quadrature not converged at "
-                    f"omega={omega:.6e}; worst subinterval {res.worst_interval}"
-                )
-    return ChannelBreakdown(
-        prop_s=pieces[("prop", Polarization.S)],
-        prop_p=pieces[("prop", Polarization.P)],
-        evan_s=pieces[("evan", Polarization.S)],
-        evan_p=pieces[("evan", Polarization.P)],
-        error=error,
-        converged=converged,
-        warnings=tuple(warnings),
-    )
+    warnings = tuple(
+        f"{branch} quadrature not converged at omega={omega:.6e}; "
+        f"worst subinterval {res.worst_interval}"
+        for branch, res in (("propagating", res_prop), ("evanescent", res_evan))
+        if not res.converged)
+    (prop_s, prop_p), (evan_s, evan_p) = res_prop.value.tolist(), res_evan.value.tolist()
+    return ChannelBreakdown(prop_s, prop_p, evan_s, evan_p,
+                            error=float(res_prop.error.sum() + res_evan.error.sum()),
+                            converged=not warnings, warnings=warnings)
 
 
 def energy_transmissivity_pp(system: GapSystem, omega: float,

@@ -354,3 +354,23 @@ def test_window_outside_table_is_a_config_error(tmp_path, capsys):
     assert "config error: body1" in err
     assert "[1.000000e+13, 1.000000e+15]" in err
     assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_unsupported_quad_order_is_a_config_error(tmp_path, capsys):
+    save_obj(rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 2, 2), tmp_path / "sq1.obj")
+    save_obj(rectangle_mesh([0, 0, 1], [0, 1, 0], [1, 0, 0], 2, 2), tmp_path / "sq2.obj")
+    text = ("[geometry]\nmesh1 = sq1.obj\nmesh2 = sq2.obj\nquad_order = 3\n\n"
+            "[output]\nmode = viewfactor\ndir = out\n")
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 4: key 'quad_order'" in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_negative_threads_key_is_clamped_like_the_flag(tmp_path):
+    text = BB_GAP + ("\n[integration]\nrtol = 1e-6\nthreads = -3\n\n"
+                     "[output]\nmode = heat-flux\ndir = out\n")
+    assert parse_config(text).threads == 1
+    assert run_cli(tmp_path, text) == 0
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "threads = 1" in lines

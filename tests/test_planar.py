@@ -205,3 +205,25 @@ def test_layer_stack_rejects_nonpositive_thickness():
         LayerStack(Constant(), ((Constant(), 0.0),))
     with pytest.raises(ValueError):
         LayerStack(Constant(), ((Constant(), -1e-9),))
+
+
+def test_both_polarizations_from_one_recursion_match_single_calls():
+    w = 2e14
+    k0 = w / C
+    stacks = {
+        "film stack": LayerStack(Constant(3 + 1j), ((Constant(2 + 0.2j), 5e-8),
+                                                    (Constant(-4 + 0.3j), 2e-8))),
+        "black-truncated": LayerStack(Constant(3 + 1j), ((Constant(2 + 0.2j), 5e-8),
+                                                         (Black(), 1e-7))),
+        "magnetic": LayerStack(Constant(4 + 0.5j, 1.5 + 0.1j),
+                               ((Constant(2 + 0.2j, 0.7 + 0.05j), 3e-8),)),
+    }
+    krho = np.concatenate([np.linspace(0.01, 0.99, 40), np.linspace(1.01, 30.0, 41)]) * k0
+    kzh2 = (k0 - krho) * (k0 + krho)
+    for name, st in stacks.items():
+        for host in (None, kzh2):
+            both = stack_reflection(st, None, w, krho, host)
+            assert both.shape == (2, len(krho)), name
+            assert np.array_equal(both[0], stack_reflection(st, S, w, krho, host)), name
+            assert np.array_equal(both[1], stack_reflection(st, P, w, krho, host)), name
+    assert stack_reflection(stacks["magnetic"], None, w, 0.5 * k0).shape == (2,)

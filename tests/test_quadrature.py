@@ -95,3 +95,77 @@ def test_spec_validation():
 def test_interval_validation():
     with pytest.raises(ValueError):
         adaptive_integrate(np.exp, 1.0, 0.0)
+
+
+def _two_scales(x):
+    # a smooth column and a needle column of very different sizes
+    return np.stack([np.exp(-x), 1e-6 / (1e-6 + (x - 0.3141) ** 2)], axis=1)
+
+
+def test_vector_integrand_meets_each_tolerance():
+    spec = IntegrationSpec(rtol=1e-9)
+    res = adaptive_integrate(_two_scales, 0.0, 1.0, spec)
+    assert res.converged
+    assert res.value.shape == res.error.shape == (2,)
+    exact = np.array([1 - math.exp(-1),
+                      1e-3 * (math.atan(0.6859 / 1e-3) + math.atan(0.3141 / 1e-3))])
+    for c in range(2):
+        # each component alone reaches its own relative tolerance
+        assert abs(res.value[c] - exact[c]) <= 1e-8 * exact[c]
+        assert res.error[c] <= 1e-7 * exact[c]
+        alone = adaptive_integrate(lambda x: _two_scales(x)[:, c], 0.0, 1.0, spec)
+        assert abs(res.value[c] - alone.value) <= 1e-8 * exact[c]
+
+
+def test_swapping_components_swaps_results_bitwise():
+    def needles(x):
+        return np.stack([1.0 / (1e-4 + (x - 0.3141) ** 2),
+                         1e3 / (1e-6 + (x - 0.7777) ** 2)], axis=1)
+
+    # on these seeds 6 panels miss rtol 1e-12, more than the short budget
+    # of 2 bisections, so the worst-first cut decides which are split
+    edges = np.linspace(0.0, 1.0, 33)
+    for s in (IntegrationSpec(rtol=1e-12, max_subdivisions=1), IntegrationSpec(rtol=1e-10)):
+        a = adaptive_integrate(needles, 0.0, 1.0, s, initial_edges=edges)
+        b = adaptive_integrate(lambda x: needles(x)[:, ::-1], 0.0, 1.0, s,
+                               initial_edges=edges)
+        assert np.array_equal(a.value, b.value[::-1])
+        assert np.array_equal(a.error, b.error[::-1])
+        assert a.neval == b.neval and a.converged == b.converged
+        assert a.worst_interval == b.worst_interval
+
+
+def test_single_component_matches_scalar_call():
+    def lumpy(x):
+        return np.sin(40 * x) / (1.02 + np.cos(7 * x))
+
+    edges = [0.0, 0.5, 3.0]
+    for spec in (IntegrationSpec(rtol=1e-8), IntegrationSpec(rtol=1e-12, max_subdivisions=5)):
+        scalar = adaptive_integrate(lumpy, 0.0, 3.0, spec, initial_edges=edges)
+        column = adaptive_integrate(lambda x: lumpy(x)[:, None], 0.0, 3.0, spec,
+                                    initial_edges=edges)
+        assert isinstance(scalar.value, float) and isinstance(scalar.error, float)
+        assert column.value.shape == (1,)
+        assert column.value[0] == scalar.value and column.error[0] == scalar.error
+        assert column.neval == scalar.neval
+        assert column.converged == scalar.converged
+        assert column.worst_interval == scalar.worst_interval
+
+
+def test_short_budget_bisects_worst_panels_first():
+    # 5 of the 8 seed panels miss rtol 1e-15 on this needle; a budget of 3
+    # bisections is spent on the worst of them in one sweep, then it stops
+    def needle(x):
+        return 1.0 / (1e-4 + (x - 0.3141) ** 2)
+
+    seeds = np.linspace(0.0, 1.0, 9)
+    spec = IntegrationSpec(rtol=1e-15, max_subdivisions=3)
+    res = adaptive_integrate(needle, 0.0, 1.0, spec, initial_edges=seeds)
+    assert not res.converged
+    assert res.neval == 15 * 8 + 30 * 3
+    lo, hi = res.worst_interval
+    assert lo <= 0.3141 <= hi
+    # two components share the budget: 3 bisections each
+    vec = adaptive_integrate(lambda x: np.stack([needle(x), needle(x)], axis=1),
+                             0.0, 1.0, spec, initial_edges=seeds)
+    assert vec.neval == 15 * 8 + 30 * 6 and not vec.converged
