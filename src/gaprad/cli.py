@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -116,10 +117,13 @@ def _float_of(raw: _Raw, section: str, key: str, errors: list[str],
             errors.append(f"{where}missing key {key!r} in [{section}]")
         return default
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        errors.append(f"line {lineno}: key {key!r}: not a number: {value!r}")
+        number = math.nan
+    if not math.isfinite(number):
+        errors.append(f"line {lineno}: key {key!r}: not a finite number: {value!r}")
         return default
+    return number
 
 
 def _int_of(raw: _Raw, section: str, key: str, errors: list[str], default=None):

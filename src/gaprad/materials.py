@@ -171,43 +171,46 @@ def is_black(material: Material) -> bool:
     return isinstance(material, Black)
 
 
-def eval_response(material: Material, omega: float) -> tuple[complex, complex]:
+def eval_response(material: Material, omega):
     """Complex (eps, mu) of a material at angular frequency omega > 0.
 
+    An ndarray omega gives arrays of its shape, bitwise the scalar calls.
     Tabulated materials interpolate linearly and refuse frequencies outside
-    the table range.  A Black material reports vacuum response (1, 1); its
-    special handling lives in the reflection code (see :func:`is_black`).
+    the table range, naming the first.  A Black material reports vacuum
+    response (1, 1); its special handling lives in the reflection code (see
+    :func:`is_black`).
     """
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    shape = np.shape(omega)
+    # scalars take the array path too, so both give the same bits
+    w = np.asarray(omega, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(w) & (w > 0.0))
+    if bad.any():
+        raise ValueError(f"omega must be positive and finite, got {float(w[bad][0])!r}")
     if isinstance(material, Constant):
-        return material.eps, material.mu
-    if isinstance(material, Drude):
-        eps = material.eps_inf - material.omega_p**2 / (omega**2 + 1j * material.gamma * omega)
-        return eps, material.mu
-    if isinstance(material, LorentzSum):
-        eps = complex(material.eps_inf)
-        for s, w0, g in material.eps_terms:
-            eps += s * w0**2 / (w0**2 - omega**2 - 1j * g * omega)
-        mu = complex(material.mu_inf)
-        for s, w0, g in material.mu_terms:
-            mu += s * w0**2 / (w0**2 - omega**2 - 1j * g * omega)
-        return eps, mu
-    if isinstance(material, Tabulated):
-        w = material.omega
-        if omega < w[0] or omega > w[-1]:
+        eps, mu = np.full(w.shape, material.eps), np.full(w.shape, material.mu)
+    elif isinstance(material, Drude):
+        eps = material.eps_inf - material.omega_p**2 / (w**2 + 1j * material.gamma * w)
+        mu = np.full(w.shape, material.mu)
+    elif isinstance(material, LorentzSum):
+        eps, mu = (sum((s * w0**2 / (w0**2 - w**2 - 1j * g * w) for s, w0, g in terms),
+                       np.full(w.shape, complex(inf)))
+                   for inf, terms in ((material.eps_inf, material.eps_terms),
+                                      (material.mu_inf, material.mu_terms)))
+    elif isinstance(material, Tabulated):
+        t = material.omega
+        outside = (w < t[0]) | (w > t[-1])
+        if outside.any():
             raise ValueError(
-                f"omega {omega:.6e} outside table range [{w[0]:.6e}, {w[-1]:.6e}]; "
+                f"omega {w[outside][0]:.6e} outside table range [{t[0]:.6e}, {t[-1]:.6e}]; "
                 "extrapolation is not supported"
             )
-        eps = complex(np.interp(omega, w, material.eps.real),
-                      np.interp(omega, w, material.eps.imag))
-        mu = complex(np.interp(omega, w, material.mu.real),
-                     np.interp(omega, w, material.mu.imag))
-        return eps, mu
-    if isinstance(material, Black):
-        return 1.0 + 0.0j, 1.0 + 0.0j
-    raise TypeError(f"unknown material type {type(material).__name__}")
+        eps = np.interp(w, t, material.eps.real) + 1j * np.interp(w, t, material.eps.imag)
+        mu = np.interp(w, t, material.mu.real) + 1j * np.interp(w, t, material.mu.imag)
+    elif isinstance(material, Black):
+        eps = mu = np.full(w.shape, 1.0 + 0.0j)
+    else:
+        raise TypeError(f"unknown material type {type(material).__name__}")
+    return (eps.reshape(shape), mu.reshape(shape)) if shape else (complex(eps[0]), complex(mu[0]))
 
 
 def planck_energy(omega, T: float, variant: str = "thermal"):

@@ -17,6 +17,7 @@ exactly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ class LayerStack:
         films = tuple((m, float(d)) for m, d in self.films)
         object.__setattr__(self, "films", films)
         for _, d in films:
-            if not d > 0.0:
-                raise ValueError(f"film thickness must be > 0, got {d!r}")
+            if not (d > 0.0 and math.isfinite(d)):
+                raise ValueError(f"film thickness must be finite and > 0, got {d!r}")
 
 
 def _branch_sqrt(arg) -> np.ndarray:
@@ -107,7 +108,7 @@ def interface_reflection(eps_from: complex, mu_from: complex,
     return _fresnel(eps_from, kz1, eps_to, kz2)
 
 
-def _media_chain(stack: LayerStack, omega: float):
+def _media_chain(stack: LayerStack, omega):
     """(eps, mu, thickness) per medium from vacuum inward, truncated at the
     first black medium, which acts as a semi-infinite matched absorber."""
     chain = [(1.0 + 0.0j, 1.0 + 0.0j, None)]   # vacuum host
@@ -125,7 +126,7 @@ def _media_chain(stack: LayerStack, omega: float):
     return chain
 
 
-def stack_reflection(stack: LayerStack, pol: Polarization | None, omega: float, krho,
+def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
                      kz_host_sq=None):
     """Reflection coefficient of the full stack seen from vacuum.
 
@@ -135,17 +136,22 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega: float, 
               / (1 + r_{j,j+1} R_{j+1} e^{2i kz_{j+1} d_{j+1}})
     is applied from the terminal medium up to the vacuum interface.  A black
     terminal (or film) truncates the chain; a bare black half space returns
-    exactly zero.  krho may be scalar or ndarray.
+    exactly zero.  krho may be scalar or ndarray; omega may be an ndarray
+    that broadcasts against it (one frequency per point), every point
+    bitwise its scalar-omega value.
 
     pol=None stacks the s (mu) and p (eps) weights on a leading axis, so one
-    chain, one set of kz and one recursion return shape (2,) + shape(krho),
-    s first; for ndarray krho each row is bitwise its single-pol value.
+    chain, one set of kz and one recursion return shape (2,) + the point
+    shape, s first; for ndarray krho each row is bitwise its single-pol value.
 
     kz_host_sq optionally supplies the exact vacuum kz^2 = (w/c)^2 - krho^2
     (the evanescent-branch quadrature knows it without cancellation); every
     medium kz is then sqrt(kz_host_sq + (eps*mu - 1)(w/c)^2), so a vacuum-like
     medium reproduces the host kz exactly.
     """
+    # one frequency per point, so that every point takes the same arithmetic
+    # whether omega came as a scalar or an array
+    omega = np.broadcast_to(omega, np.broadcast_shapes(np.shape(omega), np.shape(krho)))
     k0 = omega / _C
     if kz_host_sq is None:
         krho_arr = np.asarray(krho, dtype=float)
@@ -153,7 +159,8 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega: float, 
     chain = _media_chain(stack, omega)
     kzs = [_branch_sqrt(kz_host_sq + (e * m - 1.0) * k0 * k0) for e, m, _ in chain]
     if pol is None:
-        weights = [np.reshape([m, e], (2,) + (1,) * np.ndim(krho)) for e, m, _ in chain]
+        weights = [np.reshape([m, e], (2,) + (1,) * (omega.ndim - np.ndim(m)) + np.shape(m))
+                   for e, m, _ in chain]
     else:
         weights = [m if pol is Polarization.S else e for e, m, _ in chain]
 
@@ -164,4 +171,4 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega: float, 
         phase = np.exp(2j * kzs[j + 1] * d_next)
         r_if = _fresnel(weights[j], kzs[j], weights[j + 1], kzs[j + 1])
         r = (r_if + r * phase) / (1.0 + r_if * r * phase)
-    return r if pol is None or np.ndim(krho) else complex(np.asarray(r))
+    return r if pol is None or omega.ndim else complex(np.asarray(r))

@@ -1,15 +1,15 @@
 """Globally adaptive 1-D quadrature on nested Gauss-Kronrod panels.
 
 One integrator serves every integral in the package: the in-plane
-wavevector integrals of the transmissivities, the frequency integrals of
-the spectral module, and the blackbody closure checks.  Each panel carries
-a 15-point Kronrod value together with the error estimate given by its
-difference from the embedded 7-point Gauss value.  Each sweep bisects
-every panel whose error exceeds the relative tolerance times the running
-total (or an absolute floor for integrals that vanish) and evaluates all
-new panels in one integrand call, the batched idiom of QUADPACK and
-quad_vec.  Vector integrands (both polarizations of a transmissivity)
-pass the test component by component.  Kronrod nodes are interior, so
+wavevector integrals of the transmissivities, the frequency integrals and
+the blackbody closure checks.  Each panel carries a 15-point Kronrod value
+and the error estimate given by its difference from the embedded 7-point
+Gauss value.  Each sweep bisects every panel whose error exceeds the
+relative tolerance times the running total (or an absolute floor) and
+evaluates all new panels in one pass, the batched idiom of QUADPACK and
+quad_vec.  Vector integrands (both polarizations) pass the test component
+by component; a batch of integrals (one per frequency) shares each sweep
+while every row converges on its own.  Kronrod nodes are interior, so
 endpoints are never evaluated.
 """
 
@@ -92,57 +92,77 @@ class IntegrationSpec:
 class IntegralResult:
     value: float                      # ndarray (m,) for an (n, m) integrand
     error: float                      # sum of panel error estimates, likewise
-    converged: bool
+    converged: bool                   # for a batch: every row converged
     worst_interval: tuple[float, float] | None = None   # set when not converged
-    neval: int = 0
+    neval: int = 0                    # for a batch: the total over its rows
+    rows: tuple["IntegralResult", ...] = ()   # a batch's per-row results
 
 
-def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+# at most this many panels (15 abscissae each) go into one integrand call,
+# which bounds the integrand's temporaries however many rows are in flight
+_PANELS_PER_CALL = 96
+
+
+def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
     """Kronrod values and Gauss-Kronrod error estimates, (panels, components),
     and whether f returned one value per abscissa."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    fx = np.asarray(f(x), dtype=float)
-    scalar = fx.ndim == 1
-    fx = fx.reshape(len(half), 15, -1)
-    finite = np.isfinite(fx).all(axis=2)
-    if not finite.all():
-        bad = x.reshape(len(half), 15)[~finite]
-        raise ValueError(f"non-finite integrand value near x={bad[0]!r}")
-    vals = half[:, None] * np.einsum("pic,i->pc", fx, _WK)
-    errs = np.abs(vals - half[:, None] * np.einsum("pic,i->pc", fx, _WG))
-    return vals, errs, scalar
+    vals, errs = [], []
+    for i in range(0, len(lo), _PANELS_PER_CALL):
+        s = slice(i, i + _PANELS_PER_CALL)
+        x = (mid[s, None] + half[s, None] * _XK[None, :]).ravel()
+        fx = np.asarray(f(x, np.repeat(row[s], 15)), dtype=float)
+        scalar = fx.ndim == 1
+        fx = fx.reshape(len(x) // 15, 15, -1)
+        finite = np.isfinite(fx).all(axis=2)
+        if not finite.all():
+            bad = x.reshape(-1, 15)[~finite]
+            raise ValueError(f"non-finite integrand value near x={bad[0]!r}")
+        vals.append(half[s, None] * np.einsum("pic,i->pc", fx, _WK))
+        errs.append(np.abs(vals[-1] - half[s, None] * np.einsum("pic,i->pc", fx, _WG)))
+    return np.concatenate(vals), np.concatenate(errs), scalar
 
 
-def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
+def adaptive_integrate(f: Callable[..., np.ndarray],
                        a: float, b: float,
                        spec: IntegrationSpec = IntegrationSpec(),
                        initial_edges: Sequence[float] | None = None,
-                       abs_floor: float = 0.0) -> IntegralResult:
+                       abs_floor=0.0, batch: int | None = None) -> IntegralResult:
     """Integrate f over [a, b] to the tolerances in spec.
 
     f must accept an ndarray of n abscissae and return n values, or an
     (n, m) array of m components; it is never called at a or b.  Each
     sweep bisects every panel on which some component's error exceeds
     max(rtol * |its running total|, floor) and evaluates the new panels in
-    one call.  The budget is max_subdivisions bisections per component;
-    when it runs short, the panels furthest over their tolerance go first.
-    initial_edges seeds the panel layout (useful to resolve known scales
-    before adaptivity starts); it must begin at a and end at b.  On
-    exhaustion the partial result is returned with converged=False and the
-    location of the worst remaining panel.  value and error are floats for
-    a scalar integrand and (m,) arrays otherwise.
+    one pass, in calls of at most 96 panels.  The budget is
+    max_subdivisions bisections per component; when it runs short, the
+    panels furthest over their tolerance go first.  initial_edges seeds
+    the panel layout (useful to resolve known scales before adaptivity
+    starts); it must begin at a and end at b.  On exhaustion the partial
+    result is returned with converged=False and the location of the worst
+    remaining panel.  value and error are floats for a scalar integrand
+    and (m,) arrays otherwise.
 
     abs_floor raises the spec's absolute floor for this one integral;
     callers that know the rounding scale of their integrand (for example a
     transmission numerator built from 1 - |R|^2 cancellations) pass it so
     that a pure-noise integrand converges to its floor instead of burning
     the whole subdivision budget.
+
+    batch=B runs B integrals over the same [a, b] and initial_edges in one
+    sweep loop: f(x, row) gets the integral row[i] of each abscissa x[i],
+    and abs_floor may be a (B,) array.  Each row keeps its own tolerance,
+    budget and convergence, and its sums depend on its own panels only, so
+    it is bitwise the integral done alone.  value and error gain a leading
+    (B,) axis, converged means every row, neval is the total, and rows
+    holds each row's IntegralResult.
     """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    floor = max(spec.abs_floor, abs_floor)
+    n_rows = 1 if batch is None else batch
+    g = (lambda x, row: f(x)) if batch is None else f
+    floor = np.maximum(spec.abs_floor, np.broadcast_to(abs_floor, (n_rows,)))
     if initial_edges is None:
         edges = np.array([a, b], dtype=float)
     else:
@@ -150,39 +170,59 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
         if edges[0] != a or edges[-1] != b or np.any(np.diff(edges) <= 0.0):
             raise ValueError("initial_edges must increase strictly from a to b")
 
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs, scalar = _eval_panels(f, lo, hi)
-    neval = 15 * len(lo)
-    budget = spec.max_subdivisions * vals.shape[1]
+    seeds = len(edges) - 1
+    lo, hi = np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows)
+    row = np.repeat(np.arange(n_rows), seeds)
+    vals, errs, scalar = _eval_panels(g, lo, hi, row)
+    m = vals.shape[1]
+    budget = np.full(n_rows, spec.max_subdivisions * m)
     while True:
-        tol = np.maximum(spec.rtol * np.abs(vals.sum(axis=0)), floor)
+        # bincount adds each row's panels in their array order, which
+        # depends on that row alone
+        totals = np.stack([np.bincount(row, vals[:, c], n_rows) for c in range(m)], 1)
+        tol = np.maximum(spec.rtol * np.abs(totals), floor[:, None])
         # per panel, the largest error/tolerance ratio of a failing component
         with np.errstate(divide="ignore"):
-            excess = np.divide(errs, tol, out=np.zeros_like(errs),
-                               where=errs > tol).max(axis=1)
-        split = np.flatnonzero(excess)
-        if len(split) == 0 or budget == 0:
+            excess = np.divide(errs, tol[row], out=np.zeros_like(errs),
+                               where=errs > tol[row]).max(axis=1)
+        # rows whose budget is spent keep their failing panels
+        split = np.flatnonzero((excess > 0.0) & (budget[row] > 0))
+        if len(split) == 0:
             break
-        split = split[np.argsort(-excess[split], kind="stable")[:budget]]
-        budget -= len(split)
+        # within each row, furthest over tolerance first, up to its budget
+        split = split[np.lexsort((-excess[split], row[split]))]
+        rank = np.arange(len(split)) - np.searchsorted(row[split], row[split])
+        split = split[rank < budget[row[split]]]
+        srow = row[split]
+        budget -= np.bincount(srow, minlength=n_rows)
         mid = 0.5 * (lo[split] + hi[split])
-        v2, e2, _ = _eval_panels(f, np.concatenate([lo[split], mid]),
-                                 np.concatenate([mid, hi[split]]))
-        neval += 30 * len(split)
+        v2, e2, _ = _eval_panels(g, np.concatenate([lo[split], mid]),
+                                 np.concatenate([mid, hi[split]]),
+                                 np.concatenate([srow, srow]))
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
         lo = np.concatenate([lo[keep], lo[split], mid])
         hi = np.concatenate([hi[keep], mid, hi[split]])
+        row = np.concatenate([row[keep], srow, srow])
         vals = np.concatenate([vals[keep], v2])
         errs = np.concatenate([errs[keep], e2])
 
     # compensated final sums: panel order must not matter
-    value = np.array([math.fsum(col) for col in vals.T])
-    error = np.array([math.fsum(col) for col in errs.T])
-    if scalar:
-        value, error = float(value[0]), float(error[0])
-    converged = len(split) == 0
-    i = excess.argmax()
-    worst = None if converged else (float(lo[i]), float(hi[i]))
-    return IntegralResult(value=value, error=error, converged=converged,
-                          worst_interval=worst, neval=neval)
+    results = []
+    for r in range(n_rows):
+        mine = np.flatnonzero(row == r)
+        value = np.array([math.fsum(col) for col in vals[mine].T])
+        error = np.array([math.fsum(col) for col in errs[mine].T])
+        if scalar:
+            value, error = float(value[0]), float(error[0])
+        i = mine[excess[mine].argmax()]
+        worst = None if excess[i] == 0.0 else (float(lo[i]), float(hi[i]))
+        results.append(IntegralResult(value=value, error=error, converged=worst is None,
+                                      worst_interval=worst,
+                                      neval=30 * len(mine) - 15 * seeds))
+    if batch is None:
+        return results[0]
+    worst = next((res.worst_interval for res in results if not res.converged), None)
+    return IntegralResult(np.array([res.value for res in results]),
+                          np.array([res.error for res in results]), worst is None, worst,
+                          sum(res.neval for res in results), tuple(results))

@@ -59,6 +59,8 @@ class ScalarResult:
     window: tuple[float, float]
     converged: bool = True
     note: str = ""
+    neval: int = 0          # wavevector integrand points, every frequency node
+    omega_nodes: int = 0    # frequency nodes of the outer integral
 
 
 @dataclass(frozen=True)
@@ -107,23 +109,24 @@ def _window(system: GapSystem, spec: IntegrationSpec, T_max: float) -> tuple[flo
 
 def _integrate_spectrum(weight, transmissivity, system: GapSystem,
                         spec: IntegrationSpec, window: tuple[float, float],
-                        noise_scale: float) -> tuple[float, float, bool]:
+                        noise_scale: float, note: str = "") -> ScalarResult:
     inner_spec = spec.tighter(_INNER_FACTOR)
     inner_ok = True
+    inner_neval = 0
 
     def f(omegas: np.ndarray) -> np.ndarray:
-        nonlocal inner_ok
-        out = np.empty_like(omegas)
-        for i, w in enumerate(omegas):
-            bd = transmissivity(system, w, inner_spec)
-            inner_ok = inner_ok and bd.converged
-            out[i] = weight(w) * bd.total / _TWO_PI
-        return out
+        # one batched transmissivity call per integrand call of the sweep
+        nonlocal inner_ok, inner_neval
+        bds = transmissivity(system, omegas, inner_spec)
+        inner_ok = inner_ok and all(bd.converged for bd in bds)
+        inner_neval += sum(bd.neval for bd in bds)
+        return weight(omegas) * np.array([bd.total for bd in bds]) / _TWO_PI
 
     lo, hi = window
     res = adaptive_integrate(f, lo, hi, spec, initial_edges=_outer_edges(lo, hi),
                              abs_floor=NOISE_FRACTION * noise_scale)
-    return res.value, res.error, res.converged and inner_ok
+    return ScalarResult(res.value, res.error, window, res.converged and inner_ok, note,
+                        neval=inner_neval, omega_nodes=res.neval)
 
 
 def heat_flux(system: GapSystem, spec: IntegrationSpec = _DEFAULT_SPEC) -> ScalarResult:
@@ -139,13 +142,11 @@ def heat_flux(system: GapSystem, spec: IntegrationSpec = _DEFAULT_SPEC) -> Scala
     T1, T2 = system.T1, system.T2
     window = _window(system, spec, max(T1, T2))
 
-    def weight(w: float) -> float:
+    def weight(w: np.ndarray) -> np.ndarray:
         return planck_energy(w, T1) - planck_energy(w, T2)
 
     scale = CONSTANTS.sigma_sb * abs(T1**4 - T2**4)
-    value, error, ok = _integrate_spectrum(weight, energy_transmissivity_pp, system,
-                                           spec, window, scale)
-    return ScalarResult(value, error, window, ok)
+    return _integrate_spectrum(weight, energy_transmissivity_pp, system, spec, window, scale)
 
 
 def conductance(system: GapSystem, T: float,
@@ -155,17 +156,15 @@ def conductance(system: GapSystem, T: float,
     Equals the T1, T2 -> T limit of heat_flux / (T1 - T2); for black bodies
     this is 4 sigma T^3.
     """
-    if not (T > 0.0):
-        raise ValueError("conductance needs T > 0")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"conductance needs a finite T > 0, got {T!r}")
     window = _window(system, spec, T)
 
-    def weight(w: float) -> float:
+    def weight(w: np.ndarray) -> np.ndarray:
         return planck_energy_dT(w, T)
 
     scale = 4.0 * CONSTANTS.sigma_sb * T**3
-    value, error, ok = _integrate_spectrum(weight, energy_transmissivity_pp, system,
-                                           spec, window, scale)
-    return ScalarResult(value, error, window, ok)
+    return _integrate_spectrum(weight, energy_transmissivity_pp, system, spec, window, scale)
 
 
 def neq_pressure(system: GapSystem, source: int, T_source: float,
@@ -180,18 +179,17 @@ def neq_pressure(system: GapSystem, source: int, T_source: float,
     """
     if source not in (1, 2):
         raise ValueError(f"source must be 1 or 2, got {source!r}")
-    if not (T_source > 0.0):
-        raise ValueError("neq_pressure needs T_source > 0")
+    if not (T_source > 0.0 and math.isfinite(T_source)):
+        raise ValueError(f"neq_pressure needs a finite T_source > 0, got {T_source!r}")
     window = _window(system, spec, T_source)
 
-    def weight(w: float) -> float:
+    def weight(w: np.ndarray) -> np.ndarray:
         return planck_energy(w, T_source)
 
     scale = (2.0 / 3.0) * CONSTANTS.sigma_sb * T_source**4 / CONSTANTS.c
-    value, error, ok = _integrate_spectrum(
-        weight, momentum_transmissivity_pp,
-        system if source == 1 else system.swapped(), spec, window, scale)
-    return ScalarResult(value, error, window, ok, note=ZERO_POINT_NOTE)
+    return _integrate_spectrum(weight, momentum_transmissivity_pp,
+                               system if source == 1 else system.swapped(), spec, window,
+                               scale, note=ZERO_POINT_NOTE)
 
 
 def spectrum(system: GapSystem, omegas, spec: IntegrationSpec = _DEFAULT_SPEC,
@@ -201,10 +199,9 @@ def spectrum(system: GapSystem, omegas, spec: IntegrationSpec = _DEFAULT_SPEC,
     threads is accepted for compatibility and has no effect: the grid is
     evaluated in order on the calling thread.
     """
-    omegas = [float(w) for w in np.atleast_1d(omegas)]
-    if omegas:
-        _check_tables(system, min(omegas), max(omegas))
-    return [SpectralResult(omega=w,
-                           energy=energy_transmissivity_pp(system, w, spec),
-                           momentum=momentum_transmissivity_pp(system, w, spec))
-            for w in omegas]
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if len(omegas):
+        _check_tables(system, omegas.min(), omegas.max())
+    return [SpectralResult(omega=w, energy=e, momentum=m) for w, e, m in zip(
+        omegas.tolist(), energy_transmissivity_pp(system, omegas, spec),
+        momentum_transmissivity_pp(system, omegas, spec))]

@@ -58,8 +58,8 @@ class GapSystem:
     def __post_init__(self) -> None:
         if not (self.gap > 0.0 and math.isfinite(self.gap)):
             raise ValueError(f"gap must be positive, got {self.gap!r}")
-        if self.T1 < 0.0 or self.T2 < 0.0:
-            raise ValueError("temperatures must be >= 0")
+        if not all(T >= 0.0 and math.isfinite(T) for T in (self.T1, self.T2)):
+            raise ValueError(f"T1 and T2 must be finite and >= 0, got {self.T1!r}, {self.T2!r}")
 
     def swapped(self) -> "GapSystem":
         """The same gap seen from the other side (bodies and temperatures)."""
@@ -77,6 +77,7 @@ class ChannelBreakdown:
     error: float = 0.0
     converged: bool = True
     warnings: tuple[str, ...] = ()
+    neval: int = 0      # integrand points of both branches
 
     @property
     def total(self) -> float:
@@ -157,33 +158,51 @@ def momentum_integrand(r1, r2, krho, omega: float, gap: float,
 NOISE_FRACTION = 1e-13
 
 
-def _breakdown(system: GapSystem, omega: float, integrand,
-               spec: IntegrationSpec, momentum: bool = False) -> ChannelBreakdown:
-    """One two-component (s, p) wavevector integral per branch."""
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    k0 = omega / _C
+# frequencies per batch of wavevector integrals: bounds the panels in flight
+_OMEGA_GROUP = 32
+
+
+def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
+               momentum: bool = False):
+    """One (s, p) wavevector integral per branch and frequency, batched over
+    the frequencies: a list of breakdowns for an array, one for a scalar."""
+    w = np.asarray(omegas, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(w) & (w > 0.0))
+    if bad.any():
+        raise ValueError(f"omega must be positive and finite, got {float(w[bad][0])!r}")
+    out = [bd for i in range(0, len(w), _OMEGA_GROUP)
+           for bd in _group(system, w[i:i + _OMEGA_GROUP], integrand, spec, momentum)]
+    return out if np.ndim(omegas) else out[0]
+
+
+def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSpec,
+           momentum: bool) -> list[ChannelBreakdown]:
+    k0 = omegas / _C
     gap = system.gap
 
-    def reflections(krho, kz_host_sq):
+    def reflections(row, krho, kz_host_sq):
         # rows s and p of each body from one recursion
-        return (stack_reflection(system.body1, None, omega, krho, kz_host_sq),
-                stack_reflection(system.body2, None, omega, krho, kz_host_sq))
+        return [stack_reflection(body, None, omegas[row], krho, kz_host_sq)
+                for body in (system.body1, system.body2)]
 
-    def f_prop(krho):
-        kzh2 = (k0 - krho) * (k0 + krho)
-        r1, r2 = reflections(krho, kzh2)
-        return (krho / (2.0 * math.pi) * integrand(r1, r2, krho, omega, gap,
-                                                   khz=np.sqrt(kzh2))).T
+    def f_prop(u, row):
+        # substitution u = krho / (w/c): krho dkrho = k0 krho du, and every
+        # frequency shares the limits [0, 1] and the seed panels
+        k0r = k0[row]
+        krho = u * k0r
+        kzh2 = (k0r - krho) * (k0r + krho)
+        r1, r2 = reflections(row, krho, kzh2)
+        return (k0r * krho / (2.0 * math.pi)
+                * integrand(r1, r2, krho, omegas[row], gap, khz=np.sqrt(kzh2))).T
 
-    def f_evan(t):
+    def f_evan(t, row):
         # substitution t = |kz| * gap: krho dkrho = t dt / gap^2, and the
         # decay constant t/gap is exact even where krho rounds to w/c
         q = t / gap
-        krho = np.hypot(k0, q)
-        r1, r2 = reflections(krho, -q * q)
-        return (t / (2.0 * math.pi * gap * gap) * integrand(r1, r2, krho, omega,
-                                                            gap, khz=q)).T
+        krho = np.hypot(k0[row], q)
+        r1, r2 = reflections(row, krho, -q * q)
+        return (t / (2.0 * math.pi * gap * gap)
+                * integrand(r1, r2, krho, omegas[row], gap, khz=q)).T
 
     t_max = EVANESCENT_CUTOFF
     # Landauer-ceiling scales of the two branches (unit integrand over the
@@ -191,43 +210,53 @@ def _breakdown(system: GapSystem, omega: float, integrand,
     scale_prop = k0 * k0 / (4.0 * math.pi)
     scale_evan = t_max * t_max / (4.0 * math.pi * gap * gap)
     if momentum:
-        scale_prop *= 2.0 * k0 / omega
-        scale_evan *= 2.0 * t_max / (omega * gap)
+        scale_prop *= 2.0 * k0 / omegas
+        scale_evan *= 2.0 * t_max / (omegas * gap)
 
-    prop_edges = np.linspace(0.0, k0, 17)
-    res_prop = adaptive_integrate(f_prop, 0.0, k0, spec, initial_edges=prop_edges,
-                                  abs_floor=NOISE_FRACTION * scale_prop)
+    res_prop = adaptive_integrate(f_prop, 0.0, 1.0, spec,
+                                  initial_edges=np.linspace(0.0, 1.0, 17),
+                                  abs_floor=NOISE_FRACTION * scale_prop, batch=len(omegas))
     evan_edges = np.concatenate([[0.0], np.geomspace(1e-6 * t_max, t_max, 64)])
     res_evan = adaptive_integrate(f_evan, 0.0, t_max, spec, initial_edges=evan_edges,
-                                  abs_floor=NOISE_FRACTION * scale_evan)
+                                  abs_floor=NOISE_FRACTION * scale_evan, batch=len(omegas))
 
-    warnings = tuple(
-        f"{branch} quadrature not converged at omega={omega:.6e}; "
-        f"worst subinterval {res.worst_interval}"
-        for branch, res in (("propagating", res_prop), ("evanescent", res_evan))
-        if not res.converged)
-    (prop_s, prop_p), (evan_s, evan_p) = res_prop.value.tolist(), res_evan.value.tolist()
-    return ChannelBreakdown(prop_s, prop_p, evan_s, evan_p,
-                            error=float(res_prop.error.sum() + res_evan.error.sum()),
-                            converged=not warnings, warnings=warnings)
+    out = []
+    for omega, k0_row, prop, evan in zip(omegas.tolist(), k0.tolist(),
+                                         res_prop.rows, res_evan.rows):
+        # the propagating branch reports its worst subinterval in krho
+        worst_prop = prop.worst_interval and tuple(k0_row * u for u in prop.worst_interval)
+        warnings = tuple(
+            f"{branch} quadrature not converged at omega={omega:.6e}; "
+            f"worst subinterval {worst}"
+            for branch, res, worst in (("propagating", prop, worst_prop),
+                                       ("evanescent", evan, evan.worst_interval))
+            if not res.converged)
+        out.append(ChannelBreakdown(*prop.value.tolist(), *evan.value.tolist(),
+                                    error=float(prop.error.sum() + evan.error.sum()),
+                                    converged=not warnings, warnings=warnings,
+                                    neval=prop.neval + evan.neval))
+    return out
 
 
-def energy_transmissivity_pp(system: GapSystem, omega: float,
-                             spec: IntegrationSpec = _DEFAULT_SPEC) -> ChannelBreakdown:
+def energy_transmissivity_pp(system: GapSystem, omega,
+                             spec: IntegrationSpec = _DEFAULT_SPEC):
     """Energy transmissivity of the gap at omega, split by channel (1/m^2).
 
     Both branches keep the krho dkrho / 2pi measure inside, so the
     Bose-weighted integral of .total over d(omega)/2pi is the heat flux in
-    W/m^2.  Two black bodies give exactly (omega/c)^2 / 2pi.
+    W/m^2.  Two black bodies give exactly (omega/c)^2 / 2pi.  For an array
+    of frequencies the result is a list of breakdowns, each bitwise the
+    one its frequency gives alone.
     """
     return _breakdown(system, omega, energy_integrand, spec)
 
 
-def momentum_transmissivity_pp(system: GapSystem, omega: float,
-                               spec: IntegrationSpec = _DEFAULT_SPEC) -> ChannelBreakdown:
+def momentum_transmissivity_pp(system: GapSystem, omega,
+                               spec: IntegrationSpec = _DEFAULT_SPEC):
     """Momentum transmissivity for sources in body 1, split by channel (s/m^3).
 
     Unlike the energy transmissivity this is not symmetric under a body
-    swap.  Two black bodies give -omega^2/(3 pi c^3).
+    swap.  Two black bodies give -omega^2/(3 pi c^3).  An array of
+    frequencies gives a list of breakdowns, as for the energy one.
     """
     return _breakdown(system, omega, momentum_integrand, spec, momentum=True)

@@ -374,3 +374,26 @@ def test_negative_threads_key_is_clamped_like_the_flag(tmp_path):
     assert run_cli(tmp_path, text) == 0
     lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
     assert "threads = 1" in lines
+
+
+@pytest.mark.parametrize("edit, key, line", [
+    (("gap = 1e-6", "gap = nan"), "gap", 3),
+    (("gap = 1e-6", "gap = inf"), "gap", 3),
+    (("T1 = 400", "T1 = nan"), "T1", 4),
+    (("T2 = 300", "T2 = -inf"), "T2", 5),
+    (("T2 = 300", "T2 = 300\nT = inf"), "T", 6),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edit, key, line):
+    text = BB_GAP.replace(*edit) + "\n[output]\nmode = conductance\ndir = out\n"
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert f"config error: line {line}: key {key!r}: not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_film_thickness_is_a_config_error(tmp_path, capsys):
+    text = BB_GAP + "\n[body1.film.1]\nmaterial = black\nthickness = nan\n" \
+        "\n[output]\nmode = heat-flux\ndir = out\n"
+    assert run_cli(tmp_path, text) == 2
+    assert "key 'thickness': not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

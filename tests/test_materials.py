@@ -208,3 +208,27 @@ def test_out_of_table_message_formats_numbers():
         eval_response(mat, np.float64(5e13))
     assert str(info.value).startswith(
         "omega 5.000000e+13 outside table range [1.000000e+13, 4.000000e+13]")
+
+
+def test_eval_response_on_arrays_is_bitwise_the_scalar_calls():
+    omegas = np.geomspace(1.1e13, 3.9e13, 37)
+    table = Tabulated(np.array([1e13, 2e13, 4e13]), np.array([2 + 0.1j, 3 + 0.5j, 5 + 0.4j]),
+                      np.array([1 + 0j, 1.2 + 0.1j, 1.1 + 0j]))
+    materials = (Constant(2 + 0.3j, 1.5 + 0.1j), Drude(1.0, 1.37e16, 4.05e13),
+                 LorentzSum(6.7, ((3.3, 1.5e13, 9e11),), 1.1, ((0.4, 2e13, 1e12),)),
+                 table, Black())
+    for mat in materials:
+        eps, mu = eval_response(mat, omegas)
+        assert eps.shape == mu.shape == omegas.shape
+        for w, e, m in zip(omegas, eps, mu):
+            e1, m1 = eval_response(mat, float(w))
+            assert type(e1) is complex and type(m1) is complex
+            assert np.array([e, m]).tobytes() == np.array([e1, m1]).tobytes()
+
+
+def test_out_of_table_array_names_first_offending_omega():
+    mat = Tabulated(np.array([1e13, 4e13]), np.array([2 + 0.1j, 5 + 0.4j]), np.ones(2, complex))
+    with pytest.raises(ValueError) as info:
+        eval_response(mat, np.array([2e13, 4.5e13, 9e12, 5e13]))
+    assert str(info.value).startswith(
+        "omega 4.500000e+13 outside table range [1.000000e+13, 4.000000e+13]")

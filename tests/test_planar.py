@@ -227,3 +227,24 @@ def test_both_polarizations_from_one_recursion_match_single_calls():
             assert np.array_equal(both[0], stack_reflection(st, S, w, krho, host)), name
             assert np.array_equal(both[1], stack_reflection(st, P, w, krho, host)), name
     assert stack_reflection(stacks["magnetic"], None, w, 0.5 * k0).shape == (2,)
+
+
+def test_per_point_omega_matches_scalar_omega_rows_bitwise(rng):
+    for _ in range(6):
+        st = random_stack(rng)
+        w = 10 ** rng.uniform(13, 15)
+        k0 = w / C
+        krho = np.concatenate([rng.uniform(0, 0.99, 5) * k0, k0 + 10 ** rng.uniform(4, 8, 5)])
+        for pol in (None, S, P):
+            alone = stack_reflection(st, pol, w, krho)
+            per_point = stack_reflection(st, pol, np.full(krho.shape, w), krho)
+            assert per_point.tobytes() == alone.tobytes()
+    # points of a mixed-frequency batch are their own scalar-omega values
+    st = random_stack(rng)
+    omegas = np.geomspace(1e13, 1e15, 8)
+    krho = 0.5 * omegas / C
+    batch = stack_reflection(st, None, omegas, krho)
+    assert batch.shape == (2, 8)
+    for i, w in enumerate(omegas):
+        alone = stack_reflection(st, None, w, krho[i:i + 1])[:, 0]
+        assert batch[:, i].tobytes() == alone.tobytes()

@@ -169,3 +169,48 @@ def test_short_budget_bisects_worst_panels_first():
     vec = adaptive_integrate(lambda x: np.stack([needle(x), needle(x)], axis=1),
                              0.0, 1.0, spec, initial_edges=seeds)
     assert vec.neval == 15 * 8 + 30 * 6 and not vec.converged
+
+
+def _peaks(x, row):
+    # row r has a peak of width 10^-(r % 4 + 1) at a row-dependent place
+    centre = 0.13 + 0.017 * row
+    width = 10.0 ** -(row % 4 + 1.0)
+    return np.stack([width / ((x - centre) ** 2 + width ** 2), np.cos(7 * x + row)], axis=1)
+
+
+def test_batch_rows_are_bitwise_their_single_integrals():
+    # 50 seed panels per row do not divide the 96-panel call chunks, so
+    # rows straddle chunks; the narrowest peaks run out of budget
+    edges = np.linspace(0.0, 1.0, 51)
+    spec = IntegrationSpec(rtol=1e-10, max_subdivisions=4)
+    floors = np.linspace(1e-14, 1e-13, 12)
+    res = adaptive_integrate(_peaks, 0.0, 1.0, spec, initial_edges=edges,
+                             abs_floor=floors, batch=12)
+    assert res.value.shape == res.error.shape == (12, 2)
+    assert len(res.rows) == 12
+    assert isinstance(res.neval, int) and isinstance(res.converged, bool)
+    assert res.neval == sum(r.neval for r in res.rows)
+    assert res.converged == all(r.converged for r in res.rows)
+    assert 0 < sum(r.converged for r in res.rows) < 12
+    for r in range(12):
+        alone = adaptive_integrate(lambda x, r=r: _peaks(x, np.full(len(x), r)), 0.0, 1.0,
+                                   spec, initial_edges=edges, abs_floor=floors[r])
+        mine = res.rows[r]
+        assert mine.value.tobytes() == alone.value.tobytes()
+        assert mine.error.tobytes() == alone.error.tobytes()
+        assert res.value[r].tobytes() == alone.value.tobytes()
+        assert (mine.converged, mine.worst_interval, mine.neval) == \
+            (alone.converged, alone.worst_interval, alone.neval)
+
+
+def test_batch_result_is_independent_of_its_companions():
+    # the same row inside different batches gives the same bits
+    edges = np.linspace(0.0, 1.0, 9)
+    spec = IntegrationSpec(rtol=1e-11)
+    full = adaptive_integrate(_peaks, 0.0, 1.0, spec, initial_edges=edges, batch=7)
+    for keep in ([3], [3, 6], [0, 3]):
+        rows = np.array(keep)
+        sub = adaptive_integrate(lambda x, i: _peaks(x, rows[i]), 0.0, 1.0, spec,
+                                 initial_edges=edges, batch=len(keep))
+        assert sub.value[keep.index(3)].tobytes() == full.value[3].tobytes()
+        assert sub.rows[keep.index(3)].neval == full.rows[3].neval

@@ -175,3 +175,26 @@ def test_window_inside_table_integrates():
     sys = GapSystem(LayerStack(_table_1e13_1e15()), BB, 1e-6, 400.0, 300.0)
     res = heat_flux(sys, IntegrationSpec(rtol=1e-4, window=(1e13, 1e15)))
     assert res.converged and res.value > 0.0
+
+
+def test_scalar_result_counts_its_nodes_and_points():
+    res = heat_flux(SYS_BB, IntegrationSpec(rtol=1e-6))
+    # the outer seed panels take 15 nodes each, bisections 30
+    assert res.omega_nodes >= 15 * 32 and res.omega_nodes % 15 == 0
+    # black bodies: every inner integral converges on its 80 seed panels
+    assert res.neval == 15 * (16 + 64) * res.omega_nodes
+    sic = GapSystem(LayerStack(SIC), LayerStack(SIC), 1e-7, 400.0, 300.0)
+    res = neq_pressure(sic, 1, 400.0, IntegrationSpec(rtol=1e-4))
+    assert res.neval > 15 * (16 + 64) * res.omega_nodes > 0
+
+
+def test_non_finite_temperatures_rejected():
+    with pytest.raises(ValueError, match="T1 and T2 must be finite and >= 0, got nan, 300.0"):
+        GapSystem(BB, BB, 1e-6, float("nan"), 300.0)
+    with pytest.raises(ValueError, match="T1 and T2 must be finite and >= 0, got 400.0, inf"):
+        GapSystem(BB, BB, 1e-6, 400.0, float("inf"))
+    for T in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            conductance(SYS_BB, T)
+        with pytest.raises(ValueError, match="finite"):
+            neq_pressure(SYS_BB, 1, T)

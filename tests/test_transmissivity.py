@@ -1,7 +1,9 @@
 """Gap transmissivities: integrand algebra, channel integrals, symmetries."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
@@ -228,3 +230,62 @@ def test_omega_validation():
         energy_transmissivity_pp(sys, 0.0)
     with pytest.raises(ValueError):
         momentum_transmissivity_pp(sys, -1e14)
+
+
+def _bits(bd):
+    """Every field of a breakdown, floats by their bits."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in (bd.prop_s, bd.prop_p, bd.evan_s, bd.evan_p, bd.error,
+                           bd.converged, bd.warnings, bd.neval))
+
+
+GOLD = Drude(1.0, 1.37e16, 4.05e13)
+FILM = LayerStack(GOLD, ((SIC, 100e-9),))
+
+
+@pytest.mark.parametrize("body1, kernel", [(LayerStack(SIC), energy_transmissivity_pp),
+                                           (FILM, momentum_transmissivity_pp)],
+                         ids=["sic-energy", "film-momentum"])
+def test_frequency_batch_rows_are_bitwise_single_calls(body1, kernel):
+    # 400 frequencies run in groups of 32, each group in panel chunks of
+    # 96: every group and chunk boundary falls between checked rows
+    system = GapSystem(body1, LayerStack(SIC), 50e-9)
+    spec = IntegrationSpec(rtol=1e-8)
+    omegas = np.geomspace(1e13, 1e15, 400)
+    batch = kernel(system, omegas, spec)
+    assert isinstance(batch, list) and len(batch) == 400
+    for w, bd in zip(omegas, batch):
+        assert _bits(bd) == _bits(kernel(system, float(w), spec))
+
+
+def test_frequency_batch_is_reciprocal_under_body_swap():
+    system = GapSystem(FILM, LayerStack(SIC), 50e-9)
+    spec = IntegrationSpec(rtol=1e-8)
+    omegas = np.geomspace(1e13, 1e15, 64)
+    for a, b in zip(energy_transmissivity_pp(system, omegas, spec),
+                    energy_transmissivity_pp(system.swapped(), omegas, spec)):
+        assert abs(a.total - b.total) <= 1e-12 * abs(a.total)
+
+
+def test_propagating_warning_names_its_worst_subinterval_in_krho():
+    # a far-field gold gap with no refinement budget: the propagating branch
+    # stops at its 16 seed panels, each k0/16 wide in krho
+    st = LayerStack(GOLD)
+    sys = GapSystem(st, st, 3e-6)
+    w = 2e14
+    k0 = w / C
+    bd = energy_transmissivity_pp(sys, w, IntegrationSpec(rtol=1e-12, max_subdivisions=0))
+    prop = [m for m in bd.warnings if m.startswith("propagating")]
+    assert prop and "worst subinterval" in prop[0]
+    lo, hi = map(float, re.search(r"worst subinterval \((.*), (.*)\)", prop[0]).groups())
+    assert 0.0 <= lo < hi <= k0 * (1 + 1e-12)
+    assert hi - lo == pytest.approx(k0 / 16, rel=1e-12)
+
+
+def test_breakdown_counts_its_integrand_points():
+    # black bodies converge on the seed panels: 16 propagating and 64
+    # evanescent panels of 15 points each
+    sys = GapSystem(BB, BB, 1e-6)
+    assert energy_transmissivity_pp(sys, 1e14).neval == 15 * (16 + 64)
+    bds = energy_transmissivity_pp(sys, [1e13, 1e14])
+    assert [bd.neval for bd in bds] == [15 * (16 + 64)] * 2
