@@ -185,15 +185,13 @@ def _material_of(raw: _Raw, section: str, errors: list[str],
         errors.append(f"line {line}: missing key 'material' in [{section}]")
         return None
 
-    terms: dict[str, dict[int, dict[str, float]]] = {"term": {}, "mu_term": {}}
+    # a value that fails to parse is kept as None, so it is not reported missing too
+    terms: dict[str, dict[int, dict[str, float | None]]] = {"term": {}, "mu_term": {}}
     for key, (value, lineno) in keys.items():
         m = _TERM_RE.match(key)
         if m:
             group, idx, param = m.group(1), int(m.group(2)), m.group(3)
-            try:
-                terms[group].setdefault(idx, {})[param] = float(value)
-            except ValueError:
-                errors.append(f"line {lineno}: key {key!r}: not a number: {value!r}")
+            terms[group].setdefault(idx, {})[param] = _float_of(raw, section, key, errors)
             continue
         if key not in _MATERIAL_KEYS:
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
@@ -205,6 +203,8 @@ def _material_of(raw: _Raw, section: str, errors: list[str],
             missing = {"strength", "omega0", "gamma"} - set(t)
             if missing:
                 errors.append(f"[{section}] {group}.{idx} missing {sorted(missing)}")
+                return None
+            if None in t.values():
                 return None
             out.append((t["strength"], t["omega0"], t["gamma"]))
         return tuple(out)

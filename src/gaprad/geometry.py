@@ -15,6 +15,10 @@ points per triangle); pairs closer than three triangle diameters sharpen
 the 1/R^2 kernel, so view factors switch them to an exact contour integral
 over the inner triangle (the dyadic route escalates to the degree-7 rule,
 staying within its far-field regime).
+
+Memory stays bounded on any mesh: every pairwise loop (near-pair mask,
+Gauss pair sums, contour pair sums, separation check) runs in blocks of
+about _BLOCK point pairs, sized in one helper, _blocks.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ _SIGMA = CONSTANTS.sigma_sb
 _MIN_AREA = 1e-18          # m^2, degenerate-triangle threshold
 _FAR_FIELD_MIN = 10.0      # warn when R_min * omega / c drops below this
 _NEAR_FACTOR = 3.0         # centroid distance vs triangle diameter escalation
+_BLOCK = 2**15             # point pairs per block of every pairwise loop: one
+                           # complex (..., 3, 3) dyad of the direct route < 5 MB
 
 # symmetric triangle rules: degree -> (barycentric points (n,3), weights (n,))
 # weights sum to 1; integral ~= area * sum(w f(p))
@@ -222,11 +228,20 @@ def rectangle_mesh(origin, edge_u, edge_v, nu: int = 1, nv: int = 1) -> TriMesh:
     return TriMesh(np.array(verts), np.array(tris))
 
 
+def _blocks(n: int, per_item: int):
+    """Slices of range(n), each about _BLOCK entries at per_item entries an item."""
+    step = max(1, _BLOCK // per_item)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def _near_mask(m1: TriMesh, m2: TriMesh) -> np.ndarray:
     c1, c2 = m1.centroids(), m2.centroids()
-    dia = np.maximum(m1.diameters()[:, None], m2.diameters()[None, :])
-    cdist = np.linalg.norm(c1[:, None, :] - c2[None, :, :], axis=2)
-    return cdist < _NEAR_FACTOR * dia
+    d1, d2 = m1.diameters(), m2.diameters()
+    near = np.empty((len(c1), len(c2)), dtype=bool)
+    for s in _blocks(len(c1), len(c2)):
+        cdist = np.linalg.norm(c1[s, None, :] - c2[None, :, :], axis=2)
+        near[s] = cdist < _NEAR_FACTOR * np.maximum(d1[s, None], d2[None, :])
+    return near
 
 
 def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pairs, order: int, kernel):
@@ -238,16 +253,10 @@ def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pairs, order: int, kernel):
     ii, jj = pairs
     total = 0.0
     r_min = math.inf
-    if ii.size == 0:
-        return total, r_min
     p1, w1 = m1.quad_points(order)
     p2, w2 = m2.quad_points(order)
-    npt = p1.shape[1]
-    # block over pairs to bound the (npair, npt, npt) intermediates
-    block = max(1, int(2.0e6 / (npt * npt)))
-    for start in range(0, ii.size, block):
-        bi = ii[start:start + block]
-        bj = jj[start:start + block]
+    for s in _blocks(ii.size, p1.shape[1] * p2.shape[1]):
+        bi, bj = ii[s], jj[s]
         rvec = p1[bi][:, :, None, :] - p2[bj][:, None, :, :]
         r2 = np.einsum("abcx,abcx->abc", rvec, rvec)
         r_min = min(r_min, float(np.sqrt(r2.min())))
@@ -294,15 +303,11 @@ def _contour_pair_sum(m_outer: TriMesh, m_inner: TriMesh, pairs,
     io, ij = pairs
     total = 0.0
     r_min = math.inf
-    if io.size == 0:
-        return total, r_min
     p_out, w_out = m_outer.quad_points(order)
     npo = p_out.shape[1]
     tri_verts = m_inner.vertices[m_inner.triangles]       # (nt2, 3, 3)
-    block = max(1, int(2.0e5 / npo))
-    for start in range(0, io.size, block):
-        bi = io[start:start + block]
-        bj = ij[start:start + block]
+    for s in _blocks(io.size, npo):
+        bi, bj = io[s], ij[s]
         pts = p_out[bi].reshape(-1, 3)
         verts = np.repeat(tri_verts[bj], npo, axis=0)
         n1 = np.repeat(m_outer.normals[bi], npo, axis=0)
@@ -344,16 +349,8 @@ def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
 
 def _check_separation(m1: TriMesh, m2: TriMesh) -> None:
     """Reject touching or overlapping meshes by sampled pair distance."""
-    p1, _ = m1.quad_points(2)
-    p2, _ = m2.quad_points(2)
-    a = p1.reshape(-1, 3)
-    b = p2.reshape(-1, 3)
-    d_min = math.inf
-    block = max(1, int(2.0e6 / len(b)))
-    for start in range(0, len(a), block):
-        chunk = a[start:start + block]
-        d2 = np.sum((chunk[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        d_min = min(d_min, float(np.sqrt(d2.min())))
+    every_pair = np.indices((len(m1.areas), len(m2.areas))).reshape(2, -1)
+    _, d_min = _gauss_pair_sum(m1, m2, every_pair, 2, lambda *_: 0.0)
     scale = math.sqrt((m1.area + m2.area) / 2.0)
     if not (d_min > 1e-12 * scale):
         raise ValueError("meshes touch or overlap (vanishing pair distance)")
@@ -462,8 +459,8 @@ def bb_heat_rate(m1: TriMesh, m2: TriMesh, T1: float, T2: float,
     difference over frequency; the two routes must agree to the quadrature
     tolerance (1e-6 relative at defaults).
     """
-    if T1 < 0.0 or T2 < 0.0:
-        raise ValueError("temperatures must be >= 0")
+    if not all(T >= 0.0 and math.isfinite(T) for T in (T1, T2)):
+        raise ValueError(f"T1 and T2 must be finite and >= 0, got {T1!r}, {T2!r}")
     F = view_factor(m1, m2, quad_order)
     a1f = m1.area * F
     closed = a1f * _SIGMA * (T1**4 - T2**4)

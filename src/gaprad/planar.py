@@ -67,8 +67,8 @@ class LayerStack:
 
 def _branch_sqrt(arg) -> np.ndarray:
     out = np.sqrt(np.asarray(arg, dtype=complex))
-    out = np.where(out.imag < 0.0, -out, out)
-    return np.where((out.imag == 0.0) & (out.real < 0.0), -out, out)
+    # the principal root has Re >= 0, so after this flip Im == 0 implies Re >= 0
+    return np.where(out.imag < 0.0, -out, out)
 
 
 def kz(eps: complex, mu: complex, omega: float, krho) -> complex:

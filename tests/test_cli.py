@@ -397,3 +397,19 @@ def test_non_finite_film_thickness_is_a_config_error(tmp_path, capsys):
     assert run_cli(tmp_path, text) == 2
     assert "key 'thickness': not a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["term.1.strength", "mu_term.1.gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+def test_bad_oscillator_term_is_one_error_on_its_own_line(tmp_path, capsys, key, value):
+    lorentz = ("[body1]\nmaterial = lorentz\neps_inf = 6.7\nterm.1.strength = 3.3\n"
+               "term.1.omega0 = 1.5e14\nterm.1.gamma = 9e11\nmu_term.1.strength = 0.1\n"
+               "mu_term.1.omega0 = 1e14\nmu_term.1.gamma = 1e12")
+    edited = "\n".join(f"{key} = {value}" if ln.startswith(key + " ") else ln
+                       for ln in lorentz.splitlines())
+    text = BB_GAP.replace("[body1]\nmaterial = black", edited)
+    line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(key + " "))
+    assert run_cli(tmp_path, text + "\n[output]\nmode = heat-flux\ndir = out\n") == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("config error")]
+    assert errors == [f"config error: line {line}: key {key!r}: not a finite number: {value!r}"]
+    assert not (tmp_path / "out").exists()

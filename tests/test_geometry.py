@@ -1,10 +1,13 @@
 """Triangulated blackbody geometry: meshes, view factors, dyadic route."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gaprad import geometry
 from gaprad import (CONSTANTS, MeshError, TriMesh, bb_heat_rate,
                     bb_transmissivity, bb_transmissivity_direct, load_mesh,
                     rectangle_mesh, save_obj, view_factor)
@@ -214,3 +217,58 @@ def test_bb_heat_rate_similarity_scaling():
     big = bb_heat_rate(big1, big2, 400.0, 300.0)
     assert abs(big.viewfactor - small.viewfactor) <= 1e-12
     assert abs(big.value - 4.0 * small.value) <= 1e-12 * big.value
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_direct_route_peak_memory_is_bounded_by_the_block():
+    m1, m2 = facing_square_pair(0.5, 8)
+    assert _traced_peak_mb(lambda: bb_transmissivity_direct(m1, m2, 1e15)) <= 32.0
+
+
+def test_view_factor_peak_memory_is_bounded_by_the_block():
+    m1, m2 = facing_square_pair(0.5, 16)
+    assert _traced_peak_mb(lambda: view_factor(m1, m2)) <= 32.0
+
+
+def test_small_blocks_give_the_same_values(monkeypatch):
+    # near (contour) and far (Gauss) pairs both occur on this pair
+    m1, m2 = facing_square_pair(0.5, 4)
+    near = geometry._near_mask(m1, m2)
+    assert near.any() and not near.all()
+    before = (view_factor(m1, m2), bb_transmissivity_direct(m1, m2, 1e15))
+    monkeypatch.setattr(geometry, "_BLOCK", 101)   # every loop straddles many blocks
+    assert np.array_equal(geometry._near_mask(m1, m2), near)
+    after = (view_factor(m1, m2), bb_transmissivity_direct(m1, m2, 1e15))
+    assert abs(after[0] - before[0]) <= 1e-13 * abs(before[0])
+    assert abs(after[1].value - before[1].value) <= 1e-13 * abs(before[1].value)
+    assert after[1].r_min == before[1].r_min
+
+
+def test_small_blocks_still_reject_touching_meshes(monkeypatch):
+    monkeypatch.setattr(geometry, "_BLOCK", 101)
+    m = rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 4, 4)
+    last = TriMesh(m.vertices, m.triangles[-1:])    # overlaps only in the last block
+    for a, b in [(m, m), (m, last), (last, m)]:
+        with pytest.raises(ValueError, match="touch or overlap"):
+            view_factor(a, b)
+
+
+@pytest.mark.parametrize("T1, T2", [(math.nan, 300.0), (400.0, math.inf),
+                                    (-1.0, 300.0), (400.0, -math.inf)])
+def test_bb_heat_rate_rejects_bad_temperatures_up_front(monkeypatch, T1, T2):
+    def no_view_factor(*args):
+        raise AssertionError("view factor computed before the temperature check")
+
+    monkeypatch.setattr(geometry, "view_factor", no_view_factor)
+    m1, m2 = facing_square_pair(1.0, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"T1 and T2 must be finite and >= 0, got {T1!r}, {T2!r}")):
+        bb_heat_rate(m1, m2, T1, T2)
