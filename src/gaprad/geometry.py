@@ -17,8 +17,8 @@ over the inner triangle (the dyadic route escalates to the degree-7 rule,
 staying within its far-field regime).
 
 Memory stays bounded on any mesh: every pairwise loop (near-pair mask,
-Gauss pair sums, contour pair sums, separation check) runs in blocks of
-about _BLOCK point pairs, sized in one helper, _blocks.
+pair indices, Gauss pair sums, contour pair sums, separation check) runs in
+blocks of about _BLOCK point pairs, sized in one helper, _blocks.
 """
 
 from __future__ import annotations
@@ -244,25 +244,32 @@ def _near_mask(m1: TriMesh, m2: TriMesh) -> np.ndarray:
     return near
 
 
-def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pairs, order: int, kernel):
-    """Gauss x Gauss double-surface quadrature of kernel over triangle pairs.
+def _mask_pairs(mask: np.ndarray):
+    """(i, j) index arrays of the pairs a mask selects, one block of rows at a time."""
+    for rows in _blocks(*mask.shape):
+        i, j = np.nonzero(mask[rows])
+        yield i + rows.start, j
+
+
+def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pair_blocks, order: int, kernel):
+    """Gauss x Gauss quadrature of kernel over the pairs (i, j) of pair_blocks.
 
     kernel(rvec, r2, n1, n2) maps the (npair, np1, np2, ...) separation data
     to pointwise values.  Returns (total, r_min) over the evaluated points.
     """
-    ii, jj = pairs
     total = 0.0
     r_min = math.inf
     p1, w1 = m1.quad_points(order)
     p2, w2 = m2.quad_points(order)
-    for s in _blocks(ii.size, p1.shape[1] * p2.shape[1]):
-        bi, bj = ii[s], jj[s]
-        rvec = p1[bi][:, :, None, :] - p2[bj][:, None, :, :]
-        r2 = np.einsum("abcx,abcx->abc", rvec, rvec)
-        r_min = min(r_min, float(np.sqrt(r2.min())))
-        ww = w1[bi][:, :, None] * w2[bj][:, None, :]
-        vals = kernel(rvec, r2, m1.normals[bi], m2.normals[bj])
-        total += float(np.sum(ww * vals))
+    for ii, jj in pair_blocks:
+        for s in _blocks(ii.size, p1.shape[1] * p2.shape[1]):
+            bi, bj = ii[s], jj[s]
+            rvec = p1[bi][:, :, None, :] - p2[bj][:, None, :, :]
+            r2 = np.einsum("abcx,abcx->abc", rvec, rvec)
+            r_min = min(r_min, float(np.sqrt(r2.min())))
+            ww = w1[bi][:, :, None] * w2[bj][:, None, :]
+            vals = kernel(rvec, r2, m1.normals[bi], m2.normals[bj])
+            total += float(np.sum(ww * vals))
     return total, r_min
 
 
@@ -297,23 +304,23 @@ def _contour_point_to_triangle(points: np.ndarray, verts: np.ndarray,
     return -total / (2.0 * math.pi), r_min
 
 
-def _contour_pair_sum(m_outer: TriMesh, m_inner: TriMesh, pairs,
+def _contour_pair_sum(m_outer: TriMesh, m_inner: TriMesh, pair_blocks,
                       order: int) -> tuple[float, float]:
     """Outer Gauss points on m_outer, exact contour integral over m_inner."""
-    io, ij = pairs
     total = 0.0
     r_min = math.inf
     p_out, w_out = m_outer.quad_points(order)
     npo = p_out.shape[1]
     tri_verts = m_inner.vertices[m_inner.triangles]       # (nt2, 3, 3)
-    for s in _blocks(io.size, npo):
-        bi, bj = io[s], ij[s]
-        pts = p_out[bi].reshape(-1, 3)
-        verts = np.repeat(tri_verts[bj], npo, axis=0)
-        n1 = np.repeat(m_outer.normals[bi], npo, axis=0)
-        vals, rm = _contour_point_to_triangle(pts, verts, n1)
-        r_min = min(r_min, rm)
-        total += float(np.sum(w_out[bi].ravel() * vals))
+    for io, ij in pair_blocks:
+        for s in _blocks(io.size, npo):
+            bi, bj = io[s], ij[s]
+            pts = p_out[bi].reshape(-1, 3)
+            verts = np.repeat(tri_verts[bj], npo, axis=0)
+            n1 = np.repeat(m_outer.normals[bi], npo, axis=0)
+            vals, rm = _contour_point_to_triangle(pts, verts, n1)
+            r_min = min(r_min, rm)
+            total += float(np.sum(w_out[bi].ravel() * vals))
     return total, r_min
 
 
@@ -333,15 +340,14 @@ def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
     near = _near_mask(m1, m2)
     high_order = max(quad_order, 7)
 
-    total, r_min = _gauss_pair_sum(m1, m2, np.nonzero(~near), quad_order, kernel)
-    near_pairs = np.nonzero(near)
+    total, r_min = _gauss_pair_sum(m1, m2, _mask_pairs(~near), quad_order, kernel)
     if contour_near:
-        fwd, rm1 = _contour_pair_sum(m1, m2, near_pairs, high_order)
-        bwd, rm2 = _contour_pair_sum(m2, m1, (near_pairs[1], near_pairs[0]), high_order)
+        fwd, rm1 = _contour_pair_sum(m1, m2, _mask_pairs(near), high_order)
+        bwd, rm2 = _contour_pair_sum(m2, m1, _mask_pairs(near.T), high_order)
         total += 0.5 * (fwd + bwd)
         r_min = min(r_min, rm1, rm2)
     else:
-        t2, rm = _gauss_pair_sum(m1, m2, near_pairs, high_order, kernel)
+        t2, rm = _gauss_pair_sum(m1, m2, _mask_pairs(near), high_order, kernel)
         total += t2
         r_min = min(r_min, rm)
     return total, r_min
@@ -349,8 +355,8 @@ def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
 
 def _check_separation(m1: TriMesh, m2: TriMesh) -> None:
     """Reject touching or overlapping meshes by sampled pair distance."""
-    every_pair = np.indices((len(m1.areas), len(m2.areas))).reshape(2, -1)
-    _, d_min = _gauss_pair_sum(m1, m2, every_pair, 2, lambda *_: 0.0)
+    every_pair = np.broadcast_to(True, (len(m1.areas), len(m2.areas)))   # a view: no memory
+    _, d_min = _gauss_pair_sum(m1, m2, _mask_pairs(every_pair), 2, lambda *_: 0.0)
     scale = math.sqrt((m1.area + m2.area) / 2.0)
     if not (d_min > 1e-12 * scale):
         raise ValueError("meshes touch or overlap (vanishing pair distance)")

@@ -66,9 +66,10 @@ class LayerStack:
 
 
 def _branch_sqrt(arg) -> np.ndarray:
-    out = np.sqrt(np.asarray(arg, dtype=complex))
-    # the principal root has Re >= 0, so after this flip Im == 0 implies Re >= 0
-    return np.where(out.imag < 0.0, -out, out)
+    out = np.sqrt(np.asarray(arg, dtype=complex), out=np.empty(np.shape(arg), complex))
+    # flipped in place (out= keeps a 0-d root an array); the principal root has
+    # Re >= 0, so after this flip Im == 0 implies Re >= 0
+    return np.negative(out, out=out, where=out.imag < 0.0)
 
 
 def kz(eps: complex, mu: complex, omega: float, krho) -> complex:

@@ -6,6 +6,8 @@ the two half spaces; the momentum transmissivity plays the same role for
 the thermal (non-equilibrium) photon pressure of one body's sources.  Both
 are integrals over the in-plane wavevector, split into propagating
 (krho < w/c) and evanescent (krho > w/c) branches and into s/p channels.
+Equal bodies share one stack reflection per point (R1 = R2), and each
+integrand call evaluates only the factors of the branch its points lie on.
 
 The evanescent branch is integrated in t = |kz_vacuum| * gap, which pins
 the tunneling exponential to unit scale at every gap width; the branch is
@@ -92,6 +94,14 @@ class ChannelBreakdown:
         return self.evan_s + self.evan_p
 
 
+def _on_branch(prop, on_prop, on_evan):
+    """on_prop() if every point propagates, on_evan() if none does, else the
+    per-point choice; an array even for one point, so that it rounds as arrays do."""
+    if prop.any() and not prop.all():
+        return np.where(prop, on_prop(), on_evan())
+    return np.asarray(on_prop() if prop.all() else on_evan())
+
+
 def _branch_pieces(r1, r2, krho, omega, gap, khz=None):
     """(propagating?, kz or |kz|, tunneling/phase factor, |1 - R1 R2 x|^2).
 
@@ -106,7 +116,7 @@ def _branch_pieces(r1, r2, krho, omega, gap, khz=None):
         khz = np.sqrt(np.abs((k0 - krho) * (k0 + krho)))
     else:
         khz = np.asarray(khz, dtype=float)
-    x = np.where(prop, np.exp(2j * khz * gap), np.exp(-2.0 * khz * gap))
+    x = _on_branch(prop, lambda: np.exp(2j * khz * gap), lambda: np.exp(-2.0 * khz * gap))
     den = np.abs(1.0 - np.asarray(r1) * np.asarray(r2) * x) ** 2
     return prop, khz, x, den
 
@@ -126,11 +136,9 @@ def energy_integrand(r1, r2, krho, omega: float, gap: float,
     krho vs omega/c; krho = omega/c itself is not a valid input.
     """
     prop, _, x, den = _branch_pieces(r1, r2, krho, omega, gap, khz)
-    r1 = np.asarray(r1)
-    r2 = np.asarray(r2)
-    num_prop = (1.0 - np.abs(r1) ** 2) * (1.0 - np.abs(r2) ** 2)
-    num_evan = 4.0 * r1.imag * r2.imag * np.where(prop, 0.0, x.real)
-    out = np.where(prop, num_prop, num_evan) / den
+    r1, r2 = np.asarray(r1), np.asarray(r2)
+    out = _on_branch(prop, lambda: (1.0 - np.abs(r1) ** 2) * (1.0 - np.abs(r2) ** 2),
+                     lambda: 4.0 * r1.imag * r2.imag * x.real) / den
     return out if np.ndim(out) else float(out)
 
 
@@ -143,11 +151,10 @@ def momentum_integrand(r1, r2, krho, omega: float, gap: float,
     Evanescent: +(|kz|/w) 4 Im(R1) Re(R2) e^{-2|kz|l} / |...|^2.
     """
     prop, khz, x, den = _branch_pieces(r1, r2, krho, omega, gap, khz)
-    r1 = np.asarray(r1)
-    r2 = np.asarray(r2)
-    num_prop = -(1.0 - np.abs(r1) ** 2) * (1.0 + np.abs(r2) ** 2)
-    num_evan = 4.0 * r1.imag * r2.real * np.where(prop, 0.0, x.real)
-    out = (khz / omega) * np.where(prop, num_prop, num_evan) / den
+    r1, r2 = np.asarray(r1), np.asarray(r2)
+    num = _on_branch(prop, lambda: -(1.0 - np.abs(r1) ** 2) * (1.0 + np.abs(r2) ** 2),
+                     lambda: 4.0 * r1.imag * r2.real * x.real)
+    out = (khz / omega) * num / den
     return out if np.ndim(out) else float(out)
 
 
@@ -179,11 +186,12 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
            momentum: bool) -> list[ChannelBreakdown]:
     k0 = omegas / _C
     gap = system.gap
+    bodies = (system.body1,) if system.body1 == system.body2 else (system.body1, system.body2)
 
     def reflections(row, krho, kz_host_sq):
-        # rows s and p of each body from one recursion
-        return [stack_reflection(body, None, omegas[row], krho, kz_host_sq)
-                for body in (system.body1, system.body2)]
+        # rows s and p of each distinct body from one recursion
+        r = [stack_reflection(body, None, omegas[row], krho, kz_host_sq) for body in bodies]
+        return r[0], r[-1]
 
     def f_prop(u, row):
         # substitution u = krho / (w/c): krho dkrho = k0 krho du, and every

@@ -252,6 +252,18 @@ def test_small_blocks_give_the_same_values(monkeypatch):
     assert after[1].r_min == before[1].r_min
 
 
+def test_pair_index_arrays_are_blocked_too(monkeypatch):
+    # 512 x 512 triangle pairs: one all-pairs (i, j) index array is 4.2 MB
+    m1, m2 = facing_square_pair(0.5, 16)
+    all_pairs_mb = 2 * 512**2 * 8 / 1e6
+    default = view_factor(m1, m2)
+    monkeypatch.setattr(geometry, "_BLOCK", 4096)
+    assert _traced_peak_mb(lambda: geometry._check_separation(m1, m2)) < all_pairs_mb
+    blocked = []
+    assert _traced_peak_mb(lambda: blocked.append(view_factor(m1, m2))) < all_pairs_mb
+    assert abs(blocked[0] - default) <= 1e-13 * default
+
+
 def test_small_blocks_still_reject_touching_meshes(monkeypatch):
     monkeypatch.setattr(geometry, "_BLOCK", 101)
     m = rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 4, 4)

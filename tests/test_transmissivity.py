@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
-                    IntegrationSpec, LayerStack, Polarization,
+                    IntegrationSpec, LayerStack, Polarization, Tabulated,
                     energy_integrand, energy_transmissivity_pp,
                     momentum_integrand, momentum_transmissivity_pp,
                     stack_reflection)
@@ -289,3 +289,82 @@ def test_breakdown_counts_its_integrand_points():
     assert energy_transmissivity_pp(sys, 1e14).neval == 15 * (16 + 64)
     bds = energy_transmissivity_pp(sys, [1e13, 1e14])
     assert [bd.neval for bd in bds] == [15 * (16 + 64)] * 2
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of gaprad.transmissivity's module attributes, as the
+    benchmark tracer sees them."""
+    import gaprad.transmissivity as tm
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(tm, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(tm, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("body1, per_call", [(LayerStack(SIC), 1), (FILM, 2)],
+                         ids=["sic-sic", "film-sic"])
+def test_equal_bodies_share_one_reflection_per_integrand_call(monkeypatch, body1, per_call):
+    # body 2 is built apart from body 1: equal by value, not the same object
+    counts = _count_calls(monkeypatch, "stack_reflection", "energy_integrand",
+                          "momentum_integrand")
+    system = GapSystem(body1, LayerStack(SIC), 50e-9)
+    spec = IntegrationSpec(rtol=1e-6)
+    energy_transmissivity_pp(system, [1e14, 1.7e14], spec)
+    momentum_transmissivity_pp(system, 1.7e14, spec)
+    calls = counts["energy_integrand"] + counts["momentum_integrand"]
+    assert counts["momentum_integrand"] > 0 and counts["stack_reflection"] == per_call * calls
+
+
+def test_shared_reflection_is_bitwise_the_two_reflection_path(monkeypatch):
+    system = GapSystem(LayerStack(SIC), LayerStack(SIC), 50e-9)
+    omegas = np.geomspace(1e13, 1e15, 400)
+    spec = IntegrationSpec(rtol=1e-6)
+    kernels = (energy_transmissivity_pp, momentum_transmissivity_pp)
+    shared = [[_bits(bd) for bd in kernel(system, omegas, spec)] for kernel in kernels]
+    # equality by identity: the two bodies now take a reflection each
+    monkeypatch.setattr(LayerStack, "__eq__", lambda a, b: a is b)
+    assert system.body1 != system.body2
+    counts = _count_calls(monkeypatch, "stack_reflection", "energy_integrand")
+    apart = [[_bits(bd) for bd in kernel(system, omegas, spec)] for kernel in kernels]
+    assert counts["stack_reflection"] > 2 * counts["energy_integrand"] > 0
+    assert apart == shared
+
+
+def test_tabulated_bodies_share_a_reflection_only_when_identical(monkeypatch):
+    table = Tabulated(np.array([1e13, 1e14, 1e15]), np.array([4 + 0.5j, 3 + 0.3j, 2 + 0.1j]),
+                      np.ones(3, complex))
+    twin = Tabulated(table.omega, table.eps, table.mu)    # eq=False: a different body
+    results = []
+    for other, per_call in [(table, 1), (twin, 2)]:
+        counts = _count_calls(monkeypatch, "stack_reflection", "energy_integrand")
+        bd = energy_transmissivity_pp(GapSystem(LayerStack(table), LayerStack(other), 1e-7),
+                                      1e14)
+        assert bd.converged and bd.total > 0.0
+        assert counts["stack_reflection"] == per_call * counts["energy_integrand"]
+        results.append(_bits(bd))
+    assert results[0] == results[1]
+
+
+def test_integrands_on_one_branch_are_bitwise_their_points(rng):
+    # krho straddles w/c: the mixed call keeps every point's own branch, and
+    # a call wholly on one branch is bitwise that branch's slice of it
+    w, gap = 1.7e14, 50e-9
+    k0 = w / C
+    krho = np.concatenate([rng.uniform(0.0, 1.0, 40) * k0,
+                           np.hypot(k0, rng.uniform(1e-3, 20.0, 40) / gap)])
+    rng.shuffle(krho)
+    prop = krho < k0
+    r1 = stack_reflection(FILM, None, w, krho)
+    r2 = stack_reflection(LayerStack(SIC), None, w, krho)
+    for integrand in (energy_integrand, momentum_integrand):
+        mixed = integrand(r1, r2, krho, w, gap)
+        points = [[integrand(complex(r1[p, i]), complex(r2[p, i]), float(k), w, gap)
+                   for i, k in enumerate(krho)] for p in range(2)]
+        assert mixed.tobytes() == np.array(points).tobytes()
+        for branch in (prop, ~prop):
+            one = integrand(r1[:, branch], r2[:, branch], krho[branch], w, gap)
+            assert one.tobytes() == mixed[:, branch].tobytes()
