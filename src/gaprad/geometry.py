@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .materials import CONSTANTS, planck_energy
+from .materials import CONSTANTS, _positive_omega, planck_energy
 from .quadrature import IntegrationSpec, adaptive_integrate
 from .spectral import _outer_edges, auto_window
 
@@ -209,6 +209,8 @@ def save_obj(mesh: TriMesh, path) -> None:
 
 def rectangle_mesh(origin, edge_u, edge_v, nu: int = 1, nv: int = 1) -> TriMesh:
     """Triangulated parallelogram patch; normal along edge_u x edge_v."""
+    if nu < 1 or nv < 1:
+        raise ValueError(f"rectangle_mesh needs nu >= 1 and nv >= 1, got nu={nu!r}, nv={nv!r}")
     origin = np.asarray(origin, dtype=float)
     eu = np.asarray(edge_u, dtype=float)
     ev = np.asarray(edge_v, dtype=float)
@@ -326,7 +328,8 @@ def _contour_pair_sum(m_outer: TriMesh, m_inner: TriMesh, pair_blocks,
 
 def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
                             contour_near: bool) -> tuple[float, float]:
-    """Double-surface integral of kernel over all triangle pairs.
+    """Double-surface integral of kernel over all triangle pairs of two
+    disjoint meshes (the order is checked before the separation).
 
     Far pairs use the symmetric Gauss x Gauss rule of the requested order.
     Near pairs (centroid distance under three triangle diameters) escalate
@@ -337,6 +340,7 @@ def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
     """
     if quad_order not in TRIANGLE_RULES:
         raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
+    _check_separation(m1, m2)
     near = _near_mask(m1, m2)
     high_order = max(quad_order, 7)
 
@@ -375,7 +379,6 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
         c2 = np.einsum("abcx,ax->abc", rvec, n2)
         return -c1 * c2 / (math.pi * r2 * r2)
 
-    _check_separation(m1, m2)
     total, _ = _kernel_double_integral(m1, m2, quad_order, kernel,
                                        contour_near=True)
     return total / m1.area
@@ -384,6 +387,7 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
 def bb_transmissivity(m1: TriMesh, m2: TriMesh, omega: float,
                       quad_order: int = 4) -> float:
     """Blackbody transmissivity (omega^2 / 2 pi c^2) A1 F12, dimensionless."""
+    _positive_omega(omega)
     return omega**2 / (2.0 * math.pi * _C**2) * m1.area * view_factor(m1, m2, quad_order)
 
 
@@ -419,6 +423,7 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
     against the wavelength; the result flags violations of the guard
     R_min * omega / c >= 10.
     """
+    _positive_omega(omega)
     k = omega / _C
 
     def kernel(rvec, r2, n1, n2):
@@ -439,7 +444,6 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
         t2 = -pair_trace(1j * k * phase[..., None, None] * _cross_matrix(rhat))
         return 2.0 * (k * k * t1 + t2).real
 
-    _check_separation(m1, m2)
     total, r_min = _kernel_double_integral(m1, m2, quad_order, kernel,
                                            contour_near=False)
     return DirectResult(value=total, r_min=r_min,

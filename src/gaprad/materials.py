@@ -171,6 +171,16 @@ def is_black(material: Material) -> bool:
     return isinstance(material, Black)
 
 
+def _positive_omega(omega) -> np.ndarray:
+    """omega as a float array of its shape, or ValueError naming its first
+    value that is not positive and finite."""
+    w = np.asarray(omega, dtype=float)
+    ok = (w > 0.0) & (w < math.inf)
+    if not ok.all():
+        raise ValueError(f"omega must be positive and finite, got {float(w[~ok][0])!r}")
+    return w
+
+
 def eval_response(material: Material, omega):
     """Complex (eps, mu) of a material at angular frequency omega > 0.
 
@@ -182,10 +192,7 @@ def eval_response(material: Material, omega):
     """
     shape = np.shape(omega)
     # scalars take the array path too, so both give the same bits
-    w = np.asarray(omega, dtype=float).reshape(-1)
-    bad = ~(np.isfinite(w) & (w > 0.0))
-    if bad.any():
-        raise ValueError(f"omega must be positive and finite, got {float(w[bad][0])!r}")
+    w = _positive_omega(omega).reshape(-1)
     if isinstance(material, Constant):
         eps, mu = np.full(w.shape, material.eps), np.full(w.shape, material.mu)
     elif isinstance(material, Drude):
@@ -238,9 +245,7 @@ def planck_energy(omega, T: float, variant: str = "thermal"):
         raise ValueError(f"unknown variant {variant!r}")
     if not (T >= 0.0 and math.isfinite(T)):
         raise ValueError(f"temperature must be finite and >= 0, got {T!r}")
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("omega must be positive and finite")
+    w = _positive_omega(omega)
     if T == 0.0:
         thermal = np.zeros_like(w)
     else:
@@ -261,9 +266,7 @@ def planck_energy_dT(omega, T: float):
     """
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"temperature must be finite and > 0, got {T!r}")
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("omega must be positive and finite")
+    w = _positive_omega(omega)
     x = _HBAR * w / (_K_B * T)
     with np.errstate(over="ignore"):
         r = x / (2.0 * np.sinh(0.5 * x))   # overflow of sinh -> r = 0 (suppressed tail)

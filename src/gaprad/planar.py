@@ -113,17 +113,11 @@ def _media_chain(stack: LayerStack, omega):
     """(eps, mu, thickness) per medium from vacuum inward, truncated at the
     first black medium, which acts as a semi-infinite matched absorber."""
     chain = [(1.0 + 0.0j, 1.0 + 0.0j, None)]   # vacuum host
-    for material, d in stack.films:
+    for material, d in (*stack.films, (stack.terminal, None)):
         if is_black(material):
             chain.append((1.0 + 0.0j, 1.0 + 0.0j, None))
-            return chain
-        e, m = eval_response(material, omega)
-        chain.append((e, m, d))
-    if is_black(stack.terminal):
-        chain.append((1.0 + 0.0j, 1.0 + 0.0j, None))
-    else:
-        e, m = eval_response(stack.terminal, omega)
-        chain.append((e, m, None))
+            break
+        chain.append((*eval_response(material, omega), d))
     return chain
 
 
@@ -141,9 +135,11 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
     that broadcasts against it (one frequency per point), every point
     bitwise its scalar-omega value.
 
-    pol=None stacks the s (mu) and p (eps) weights on a leading axis, so one
-    chain, one set of kz and one recursion return shape (2,) + the point
-    shape, s first; for ndarray krho each row is bitwise its single-pol value.
+    pol=None returns both polarizations, shape (2,) + the point shape, s
+    first: the s (mu) and p (eps) weights are stacked on a leading axis, so
+    one chain, one set of kz and one recursion serve both.  A single
+    polarization is row 0 (s) or row 1 (p) of that same recursion, bitwise;
+    it is a complex for scalar omega and krho, an array otherwise.
 
     kz_host_sq optionally supplies the exact vacuum kz^2 = (w/c)^2 - krho^2
     (the evanescent-branch quadrature knows it without cancellation); every
@@ -159,11 +155,8 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
         kz_host_sq = (k0 - krho_arr) * (k0 + krho_arr)
     chain = _media_chain(stack, omega)
     kzs = [_branch_sqrt(kz_host_sq + (e * m - 1.0) * k0 * k0) for e, m, _ in chain]
-    if pol is None:
-        weights = [np.reshape([m, e], (2,) + (1,) * (omega.ndim - np.ndim(m)) + np.shape(m))
-                   for e, m, _ in chain]
-    else:
-        weights = [m if pol is Polarization.S else e for e, m, _ in chain]
+    weights = [np.reshape([m, e], (2,) + (1,) * (omega.ndim - np.ndim(m)) + np.shape(m))
+               for e, m, _ in chain]
 
     n = len(chain)
     r = _fresnel(weights[n - 2], kzs[n - 2], weights[n - 1], kzs[n - 1])
@@ -172,4 +165,7 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
         phase = np.exp(2j * kzs[j + 1] * d_next)
         r_if = _fresnel(weights[j], kzs[j], weights[j + 1], kzs[j + 1])
         r = (r_if + r * phase) / (1.0 + r_if * r * phase)
-    return r if pol is None or omega.ndim else complex(np.asarray(r))
+    if pol is None:
+        return r
+    r = r[0 if pol is Polarization.S else 1]
+    return r if omega.ndim else complex(r)

@@ -63,7 +63,8 @@ class IntegrationSpec:
     """Tolerances and limits for adaptive integration.
 
     window is an optional explicit frequency window (rad/s) consumed by the
-    spectral integrals; None selects the automatic Planck-weighted window.
+    spectral integrals, positive and finite; None selects the automatic
+    Planck-weighted window.
     """
 
     rtol: float = 1e-8
@@ -80,8 +81,9 @@ class IntegrationSpec:
             raise ValueError("max_subdivisions must be >= 0")
         if self.window is not None:
             lo, hi = self.window
-            if not (lo < hi):
-                raise ValueError(f"window must satisfy lo < hi, got {self.window!r}")
+            if not (0.0 < lo < hi < math.inf):
+                raise ValueError(f"frequency window must satisfy 0 < lo < hi < inf, "
+                                 f"got window={self.window!r}")
 
     def tighter(self, factor: float) -> "IntegrationSpec":
         """Copy with the relative tolerance divided by factor."""
@@ -141,8 +143,8 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     the panel layout (useful to resolve known scales before adaptivity
     starts); it must begin at a and end at b.  On exhaustion the partial
     result is returned with converged=False and the location of the worst
-    remaining panel.  value and error are floats for a scalar integrand
-    and (m,) arrays otherwise.
+    remaining panel.  value and error are the sums the tolerance test last
+    used: floats for a scalar integrand and (m,) arrays otherwise.
 
     abs_floor raises the spec's absolute floor for this one integral;
     callers that know the rounding scale of their integrand (for example a
@@ -156,7 +158,7 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     budget and convergence, and its sums depend on its own panels only, so
     it is bitwise the integral done alone.  value and error gain a leading
     (B,) axis, converged means every row, neval is the total, and rows
-    holds each row's IntegralResult.
+    holds each row's IntegralResult, whose arrays are views of the batch's.
     """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
@@ -207,22 +209,18 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
         vals = np.concatenate([vals[keep], v2])
         errs = np.concatenate([errs[keep], e2])
 
-    # compensated final sums: panel order must not matter
-    results = []
-    for r in range(n_rows):
-        mine = np.flatnonzero(row == r)
-        value = np.array([math.fsum(col) for col in vals[mine].T])
-        error = np.array([math.fsum(col) for col in errs[mine].T])
-        if scalar:
-            value, error = float(value[0]), float(error[0])
-        i = mine[excess[mine].argmax()]
-        worst = None if excess[i] == 0.0 else (float(lo[i]), float(hi[i]))
-        results.append(IntegralResult(value=value, error=error, converged=worst is None,
-                                      worst_interval=worst,
-                                      neval=30 * len(mine) - 15 * seeds))
+    # every row reports the totals its panels were last tested against;
+    # its worst panel is its first, in array order, of largest excess
+    errors = np.stack([np.bincount(row, errs[:, c], n_rows) for c in range(m)], 1)
+    order = np.lexsort((-excess, row))
+    worst_i = order[np.searchsorted(row[order], np.arange(n_rows))]
+    worst = [None if excess[i] == 0.0 else (float(lo[i]), float(hi[i])) for i in worst_i]
+    neval = (30 * np.bincount(row, minlength=n_rows) - 15 * seeds).tolist()
+    if scalar:
+        totals, errors = totals[:, 0], errors[:, 0]
+    per_row = zip(*(a.tolist() if scalar else a for a in (totals, errors)), worst, neval)
+    rows = tuple(IntegralResult(v, e, w is None, w, n) for v, e, w, n in per_row)
     if batch is None:
-        return results[0]
-    worst = next((res.worst_interval for res in results if not res.converged), None)
-    return IntegralResult(np.array([res.value for res in results]),
-                          np.array([res.error for res in results]), worst is None, worst,
-                          sum(res.neval for res in results), tuple(results))
+        return rows[0]
+    first_bad = next((w for w in worst if w is not None), None)
+    return IntegralResult(totals, errors, first_bad is None, first_bad, sum(neval), rows)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CONSTANTS
+from .materials import CONSTANTS, _positive_omega
 from .planar import LayerStack, Polarization, stack_reflection
 from .quadrature import IntegrationSpec, adaptive_integrate
 
@@ -173,10 +173,7 @@ def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
                momentum: bool = False):
     """One (s, p) wavevector integral per branch and frequency, batched over
     the frequencies: a list of breakdowns for an array, one for a scalar."""
-    w = np.asarray(omegas, dtype=float).reshape(-1)
-    bad = ~(np.isfinite(w) & (w > 0.0))
-    if bad.any():
-        raise ValueError(f"omega must be positive and finite, got {float(w[bad][0])!r}")
+    w = _positive_omega(omegas).reshape(-1)
     out = [bd for i in range(0, len(w), _OMEGA_GROUP)
            for bd in _group(system, w[i:i + _OMEGA_GROUP], integrand, spec, momentum)]
     return out if np.ndim(omegas) else out[0]

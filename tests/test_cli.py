@@ -413,3 +413,13 @@ def test_bad_oscillator_term_is_one_error_on_its_own_line(tmp_path, capsys, key,
     errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("config error")]
     assert errors == [f"config error: line {line}: key {key!r}: not a finite number: {value!r}"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("0", "1e15"), ("-1e13", "1e15"), ("2e15", "1e15")])
+def test_bad_frequency_window_is_a_config_error(tmp_path, capsys, lo, hi):
+    text = BB_GAP + (f"\n[integration]\nomega_lo = {lo}\nomega_hi = {hi}\n\n"
+                     "[output]\nmode = heat-flux\ndir = out\n")
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "config error: [integration]: frequency window must satisfy 0 < lo < hi < inf" in err
+    assert not (tmp_path / "out").exists()

@@ -284,3 +284,28 @@ def test_bb_heat_rate_rejects_bad_temperatures_up_front(monkeypatch, T1, T2):
     with pytest.raises(ValueError, match=re.escape(
             f"T1 and T2 must be finite and >= 0, got {T1!r}, {T2!r}")):
         bb_heat_rate(m1, m2, T1, T2)
+
+
+@pytest.mark.parametrize("omega", [math.nan, -1e15, 0.0, math.inf])
+def test_blackbody_transmissivities_reject_bad_omega(omega):
+    m1, m2 = facing_square_pair(1.0, 2)
+    for route in (bb_transmissivity, bb_transmissivity_direct):
+        with pytest.raises(ValueError, match="omega must be positive and finite, got"):
+            route(m1, m2, omega)
+
+
+@pytest.mark.parametrize("nu, nv", [(0, 1), (1, 0), (-2, 3)])
+def test_rectangle_mesh_needs_one_cell_each_way(nu, nv):
+    with pytest.raises(ValueError, match=f"nu={nu}, nv={nv}"):
+        rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], nu, nv)
+
+
+def test_unsupported_order_is_rejected_before_the_separation_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("separation scanned before the order check")
+    monkeypatch.setattr(geometry, "_check_separation", scan)
+    m1, m2 = facing_square_pair(1.0, 2)
+    for route in (lambda: view_factor(m1, m2, quad_order=3),
+                  lambda: bb_transmissivity_direct(m1, m2, 1e15, quad_order=3)):
+        with pytest.raises(ValueError, match="unsupported quad_order"):
+            route()

@@ -232,3 +232,18 @@ def test_out_of_table_array_names_first_offending_omega():
         eval_response(mat, np.array([2e13, 4.5e13, 9e12, 5e13]))
     assert str(info.value).startswith(
         "omega 4.500000e+13 outside table range [1.000000e+13, 4.000000e+13]")
+
+
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (-1e14, "-100000000000000.0"),
+                                        (0.0, "0.0"), (math.inf, "inf")])
+def test_every_omega_check_names_the_first_bad_value(bad, shown):
+    from gaprad import GapSystem, LayerStack, energy_transmissivity_pp
+    system = GapSystem(LayerStack(Black()), LayerStack(Black()), 1e-6)
+    message = f"omega must be positive and finite, got {shown}$"
+    for call in (lambda w: eval_response(Drude(1.0, 1e16, 1e14), w),
+                 lambda w: planck_energy(w, 300.0),
+                 lambda w: planck_energy_dT(w, 300.0),
+                 lambda w: energy_transmissivity_pp(system, w)):
+        for omega in (bad, np.array([1e14, bad, -1.0])):
+            with pytest.raises(ValueError, match=message):
+                call(omega)

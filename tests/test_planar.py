@@ -9,7 +9,7 @@ import pytest
 from gaprad import (CONSTANTS, Black, Constant, DegenerateInterfaceError,
                     LayerStack, Polarization, interface_reflection, kz,
                     stack_reflection)
-from conftest import random_stack
+from conftest import SIC, random_stack
 
 C = CONSTANTS.c
 S, P = Polarization.S, Polarization.P
@@ -248,3 +248,27 @@ def test_per_point_omega_matches_scalar_omega_rows_bitwise(rng):
     for i, w in enumerate(omegas):
         alone = stack_reflection(st, None, w, krho[i:i + 1])[:, 0]
         assert batch[:, i].tobytes() == alone.tobytes()
+
+
+def test_single_polarization_is_bitwise_a_row_of_the_shared_recursion(rng):
+    stacks = {
+        "film stack": LayerStack(Constant(3 + 1j), ((Constant(2 + 0.2j), 5e-8),
+                                                    (Constant(-4 + 0.3j), 2e-8))),
+        "black-truncated": LayerStack(Constant(3 + 1j), ((Constant(2 + 0.2j), 5e-8),
+                                                         (Black(), 1e-7))),
+        "magnetic": LayerStack(Constant(4 + 0.5j, 1.5 + 0.1j),
+                               ((Constant(2 + 0.2j, 0.7 + 0.05j), 3e-8),)),
+        "bare SiC": LayerStack(SIC),
+    }
+    for name, st in stacks.items():
+        for _ in range(3):
+            w = 10 ** rng.uniform(13, 15)
+            krho = np.concatenate([rng.uniform(0, 0.99, 5), rng.uniform(1.01, 30, 5)]) * w / C
+            # scalar and array krho, each with a scalar and a per-point omega
+            for k in (*krho, krho):
+                for omega in (w, np.full(np.shape(k), w)):
+                    both = stack_reflection(st, None, omega, k)
+                    s, p = (stack_reflection(st, pol, omega, k) for pol in (S, P))
+                    assert type(s) is (complex if np.ndim(k) == 0 else np.ndarray), name
+                    assert np.asarray(s).tobytes() == both[0].tobytes(), name
+                    assert np.asarray(p).tobytes() == both[1].tobytes(), name

@@ -214,3 +214,23 @@ def test_batch_result_is_independent_of_its_companions():
                                  initial_edges=edges, batch=len(keep))
         assert sub.value[keep.index(3)].tobytes() == full.value[3].tobytes()
         assert sub.rows[keep.index(3)].neval == full.rows[3].neval
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12, 1e-13])
+def test_many_panel_oscillation_within_reported_error(rtol):
+    # e^-x cos(60x) on [0, 10]: about 95 periods, so hundreds of panels
+    # contribute to the reported sum
+    exact = (1.0 + math.exp(-10.0) * (60.0 * math.sin(600.0) - math.cos(600.0))) / 3601.0
+    res = adaptive_integrate(lambda x: np.exp(-x) * np.cos(60.0 * x), 0.0, 10.0,
+                             IntegrationSpec(rtol=rtol))
+    assert res.converged
+    assert (res.neval + 15) // 30 >= 190      # panels: neval = 30 * panels - 15
+    assert abs(res.value - exact) <= res.error + 1e-13 * abs(exact)
+    assert isinstance(res.value, float) and isinstance(res.error, float)
+
+
+@pytest.mark.parametrize("window", [(0.0, 1e15), (-1e13, 1e15), (1e13, math.inf),
+                                    (math.nan, 1e15)])
+def test_window_must_be_positive_and_finite(window):
+    with pytest.raises(ValueError, match=r"0 < lo < hi < inf, got window="):
+        IntegrationSpec(window=window)
