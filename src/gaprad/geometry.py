@@ -4,9 +4,9 @@ The blackbody limit of the gap formalism reduces to classical radiative
 geometry: a view factor between two meshes, the transmissivity
 (w^2 / 2 pi c^2) A1 F12 built from it, and the Stefan-Boltzmann heat rate
 A1 F12 sigma (T1^4 - T2^4).  An independent route assembles the same
-transmissivity from the far-field free-space dyads (projector and curl
-forms) patch pair by patch pair, which exercises the dyadic algebra the
-closed form short-circuits.
+transmissivity patch pair by patch pair from real far-field dyads (the
+projector and curl forms, whose phase e^{ikR} cancels in every trace, each
+trace two 3x3 products), exercising the algebra the closed form short-cuts.
 
 Supported geometries are mutually fully visible convex pairs; occlusion is
 not modeled, matching the free-space limit itself.  Triangle-pair
@@ -54,7 +54,7 @@ _MIN_AREA = 1e-18          # m^2, degenerate-triangle threshold
 _FAR_FIELD_MIN = 10.0      # warn when R_min * omega / c drops below this
 _NEAR_FACTOR = 3.0         # centroid distance vs triangle diameter escalation
 _BLOCK = 2**15             # point pairs per block of every pairwise loop: one
-                           # complex (..., 3, 3) dyad of the direct route < 5 MB
+                           # (..., 3, 3) dyad of the direct route < 2.5 MB
 
 # symmetric triangle rules: degree -> (barycentric points (n,3), weights (n,))
 # weights sum to 1; integral ~= area * sum(w f(p))
@@ -340,8 +340,7 @@ def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
     """
     if quad_order not in TRIANGLE_RULES:
         raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
-    _check_separation(m1, m2)
-    near = _near_mask(m1, m2)
+    near = _check_separation(m1, m2)
     high_order = max(quad_order, 7)
 
     total, r_min = _gauss_pair_sum(m1, m2, _mask_pairs(~near), quad_order, kernel)
@@ -357,13 +356,17 @@ def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
     return total, r_min
 
 
-def _check_separation(m1: TriMesh, m2: TriMesh) -> None:
-    """Reject touching or overlapping meshes by sampled pair distance."""
-    every_pair = np.broadcast_to(True, (len(m1.areas), len(m2.areas)))   # a view: no memory
-    _, d_min = _gauss_pair_sum(m1, m2, _mask_pairs(every_pair), 2, lambda *_: 0.0)
+def _check_separation(m1: TriMesh, m2: TriMesh) -> np.ndarray:
+    """Reject touching or overlapping meshes by sampled near-pair distance and
+    return the near mask.  Far-pair points are >= 5/3 diameter apart: this is
+    the all-pairs decision on meshes whose longest edges all exceed
+    6e-13 * sqrt(mean mesh area), and far pairs below that size do not touch."""
+    near = _near_mask(m1, m2)
+    _, d_min = _gauss_pair_sum(m1, m2, _mask_pairs(near), 2, lambda *_: 0.0)
     scale = math.sqrt((m1.area + m2.area) / 2.0)
     if not (d_min > 1e-12 * scale):
         raise ValueError("meshes touch or overlap (vanishing pair distance)")
+    return near
 
 
 def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
@@ -417,32 +420,29 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
 
     For each pair of quadrature points the projector dyad
     e^{ikR}/(4 pi R) (I - Rhat Rhat) and its curl form
-    ik e^{ikR}/(4 pi R) (Rhat x I) are built explicitly and combined as
+    ik e^{ikR}/(4 pi R) (Rhat x I) enter
     2 Re Tr[(omega/c)^2 (n1 x Ge)(n2 x Gm)* + (n1 x GM)(n2 x GM)*], which
-    must reproduce bb_transmissivity.  Valid only at separations large
-    against the wavelength; the result flags violations of the guard
-    R_min * omega / c >= 10.
+    must reproduce bb_transmissivity.  The phase cancels against its own
+    conjugate, so with the real P = I - Rhat Rhat, C = [Rhat]x and X = [n]x
+    the kernel is k^2 (Tr[X1 P X2 P] - Tr[X1 C X2 C]) / (8 pi^2 R^2), each
+    trace two 3x3 products.  Valid at separations large against the
+    wavelength only; the result flags violations of R_min * omega / c >= 10.
     """
     _positive_omega(omega)
     k = omega / _C
 
     def kernel(rvec, r2, n1, n2):
-        r = np.sqrt(r2)
-        rhat = rvec / r[..., None]
-        phase = np.exp(1j * k * r) / (4.0 * math.pi * r)
+        rhat = rvec / np.sqrt(r2)[..., None]
         x1 = _cross_matrix(n1)[:, None, None, :, :]
         x2 = _cross_matrix(n2)[:, None, None, :, :]
 
         def pair_trace(g):
-            # Tr[(n1 x G)(n2 x G)*] per point pair; each dyad lives only here
-            return np.einsum("abcij,abcjk,abckl,abcli->abc", x1, g, x2, g.conj())
+            # Tr[(n1 x G)(n2 x G)] per point pair; each dyad lives only here
+            return np.einsum("...ij,...ji->...", x1 @ g, x2 @ g)
 
-        # backward dyads: Gm(r2,r1) = Ge(r1,r2), the projector being even in
-        # Rhat, and GM(r2,r1) = -GM(r1,r2) exactly, the curl being odd
-        t1 = pair_trace(phase[..., None, None]
-                        * (np.eye(3) - rhat[..., :, None] * rhat[..., None, :]))
-        t2 = -pair_trace(1j * k * phase[..., None, None] * _cross_matrix(rhat))
-        return 2.0 * (k * k * t1 + t2).real
+        projector = np.eye(3) - rhat[..., :, None] * rhat[..., None, :]
+        traces = pair_trace(projector) - pair_trace(_cross_matrix(rhat))
+        return k * k * traces / (8.0 * math.pi**2 * r2)
 
     total, r_min = _kernel_double_integral(m1, m2, quad_order, kernel,
                                            contour_near=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CONSTANTS, Material, eval_response, is_black
+from .materials import CONSTANTS, Material, _positive_omega, eval_response, is_black
 
 __all__ = [
     "Polarization",
@@ -111,10 +111,14 @@ def interface_reflection(eps_from: complex, mu_from: complex,
 
 def _media_chain(stack: LayerStack, omega):
     """(eps, mu, thickness) per medium from vacuum inward, truncated at the
-    first black medium, which acts as a semi-infinite matched absorber."""
+    first black medium, which acts as a semi-infinite matched absorber.
+    omega is checked as eval_response checks it, also when no response is
+    evaluated."""
     chain = [(1.0 + 0.0j, 1.0 + 0.0j, None)]   # vacuum host
     for material, d in (*stack.films, (stack.terminal, None)):
         if is_black(material):
+            if len(chain) == 1:
+                _positive_omega(omega)
             chain.append((1.0 + 0.0j, 1.0 + 0.0j, None))
             break
         chain.append((*eval_response(material, omega), d))

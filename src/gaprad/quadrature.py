@@ -131,7 +131,7 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
                        spec: IntegrationSpec = IntegrationSpec(),
                        initial_edges: Sequence[float] | None = None,
                        abs_floor=0.0, batch: int | None = None) -> IntegralResult:
-    """Integrate f over [a, b] to the tolerances in spec.
+    """Integrate f over a finite [a, b], a < b, to the tolerances in spec.
 
     f must accept an ndarray of n abscissae and return n values, or an
     (n, m) array of m components; it is never called at a or b.  Each
@@ -152,16 +152,18 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     that a pure-noise integrand converges to its floor instead of burning
     the whole subdivision budget.
 
-    batch=B runs B integrals over the same [a, b] and initial_edges in one
-    sweep loop: f(x, row) gets the integral row[i] of each abscissa x[i],
+    batch=B >= 1 runs B integrals over the same [a, b] and initial_edges in
+    one sweep loop: f(x, row) gets the integral row[i] of each abscissa x[i],
     and abs_floor may be a (B,) array.  Each row keeps its own tolerance,
     budget and convergence, and its sums depend on its own panels only, so
     it is bitwise the integral done alone.  value and error gain a leading
     (B,) axis, converged means every row, neval is the total, and rows
     holds each row's IntegralResult, whose arrays are views of the batch's.
     """
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
+    if batch is not None and batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch!r}")
     n_rows = 1 if batch is None else batch
     g = (lambda x, row: f(x)) if batch is None else f
     floor = np.maximum(spec.abs_floor, np.broadcast_to(abs_floor, (n_rows,)))

@@ -174,6 +174,11 @@ def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
     """One (s, p) wavevector integral per branch and frequency, batched over
     the frequencies: a list of breakdowns for an array, one for a scalar."""
     w = _positive_omega(omegas).reshape(-1)
+    # a subnormal (omega/c)^2 has lost digits, and the kz^2 built from it can
+    # vanish, which no wavevector integral resolves
+    underflow = (w / _C) ** 2 < np.finfo(float).tiny
+    if underflow.any():
+        raise ValueError(f"(omega/c)^2 underflows at omega={float(w[underflow][0])!r} rad/s")
     out = [bd for i in range(0, len(w), _OMEGA_GROUP)
            for bd in _group(system, w[i:i + _OMEGA_GROUP], integrand, spec, momentum)]
     return out if np.ndim(omegas) else out[0]

@@ -309,3 +309,49 @@ def test_unsupported_order_is_rejected_before_the_separation_scan(monkeypatch):
                   lambda: bb_transmissivity_direct(m1, m2, 1e15, quad_order=3)):
         with pytest.raises(ValueError, match="unsupported quad_order"):
             route()
+
+
+TILTED = (rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 4, 4),
+          rectangle_mesh([0.2, -0.1, 0.6], [0, 1, 0.2], [0.9, 0, 0.4], 4, 4))
+
+
+# values of the complex-dyad evaluation, before the phase that cancels in
+# every trace was dropped: near and far pairs, every order, a tilted normal
+@pytest.mark.parametrize("meshes, order, value, r_min", [
+    (facing_square_pair(0.5, 8), 4, 735346071690.9404, 0.5),
+    (TILTED, 1, 366653349716.6286, 0.6190096308173106),
+    (TILTED, 2, 366917428794.452, 0.6190096308173106),
+    (TILTED, 4, 366915460761.398, 0.6190096308173106),
+    (TILTED, 7, 366915463388.6306, 0.6190096308173106),
+])
+def test_direct_route_keeps_its_values(meshes, order, value, r_min):
+    res = bb_transmissivity_direct(*meshes, 1e15, quad_order=order)
+    assert abs(res.value - value) <= 1e-14 * value
+    assert res.r_min == r_min
+
+
+def test_separation_is_sampled_on_near_pairs_only(monkeypatch):
+    # 16 x 16 coaxial squares 0.5 m apart: every pair is far
+    pairs, masks = [], []
+    gauss_pair_sum, near_mask = geometry._gauss_pair_sum, geometry._near_mask
+
+    def counted_pairs(m1, m2, pair_blocks, order, kernel):
+        def blocks():
+            for ii, jj in pair_blocks:
+                pairs.append(ii.size)
+                yield ii, jj
+        return gauss_pair_sum(m1, m2, blocks(), order, kernel)
+
+    def counted_mask(m1, m2):
+        masks.append(None)
+        return near_mask(m1, m2)
+
+    monkeypatch.setattr(geometry, "_gauss_pair_sum", counted_pairs)
+    monkeypatch.setattr(geometry, "_near_mask", counted_mask)
+    m1, m2 = facing_square_pair(0.5, 16)
+    geometry._check_separation(m1, m2)
+    assert sum(pairs) == 0
+    pairs.clear()
+    masks.clear()
+    view_factor(m1, m2)
+    assert sum(pairs) == 512 * 512 and len(masks) == 1

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,3 +273,15 @@ def test_single_polarization_is_bitwise_a_row_of_the_shared_recursion(rng):
                     assert type(s) is (complex if np.ndim(k) == 0 else np.ndarray), name
                     assert np.asarray(s).tobytes() == both[0].tobytes(), name
                     assert np.asarray(p).tobytes() == both[1].tobytes(), name
+
+
+@pytest.mark.parametrize("stack", [LayerStack(Black()), LayerStack(SIC, ((Black(), 1e-8),))],
+                         ids=["black", "black-film"])
+@pytest.mark.parametrize("pol", [None, S])
+@pytest.mark.parametrize("omega, bad", [(math.nan, math.nan), (-1e14, -1e14), (math.inf, math.inf),
+                                        (np.array([1e14, 0.0]), 0.0)],
+                         ids=["nan", "negative", "inf", "zero-in-array"])
+def test_black_first_stack_checks_omega(stack, pol, omega, bad):
+    # no response is evaluated in front of the black medium
+    with pytest.raises(ValueError, match=re.escape(f"omega must be positive and finite, got {bad!r}")):
+        stack_reflection(stack, pol, omega, 0.0)

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod integrator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ def test_spec_validation():
 def test_interval_validation():
     with pytest.raises(ValueError):
         adaptive_integrate(np.exp, 1.0, 0.0)
+
+
+def _never_called(*args):
+    raise AssertionError("integrand called")
+
+
+@pytest.mark.parametrize("a, b", [(-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf),
+                                  (math.nan, 1.0)])
+def test_limits_must_be_finite(a, b):
+    with pytest.raises(ValueError, match=re.escape(f"need finite a < b, got [{a!r}, {b!r}]")):
+        adaptive_integrate(_never_called, a, b)
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_batch_must_be_at_least_one(batch):
+    with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+        adaptive_integrate(_never_called, 0.0, 1.0, batch=batch)
 
 
 def _two_scales(x):

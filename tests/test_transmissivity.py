@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
+import gaprad.transmissivity
 from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
                     IntegrationSpec, LayerStack, Polarization, Tabulated,
-                    energy_integrand, energy_transmissivity_pp,
+                    conductance, energy_integrand, energy_transmissivity_pp,
                     momentum_integrand, momentum_transmissivity_pp,
                     stack_reflection)
 from conftest import SIC, random_stack
@@ -368,3 +369,33 @@ def test_integrands_on_one_branch_are_bitwise_their_points(rng):
         for branch in (prop, ~prop):
             one = integrand(r1[:, branch], r2[:, branch], krho[branch], w, gap)
             assert one.tobytes() == mixed[:, branch].tobytes()
+
+
+def _no_integral(*args, **kwargs):
+    raise AssertionError("wavevector integral run")
+
+
+@pytest.mark.parametrize("omega, bad", [(1e-200, 1e-200), (1e-152, 1e-152),
+                                        (np.array([1e14, 1e-150]), 1e-150)])
+def test_underflowing_frequency_is_named_before_any_integral(monkeypatch, omega, bad):
+    # below ~4.5e-146 rad/s (omega/c)^2 is subnormal or zero: 1e-150 gave a
+    # 1e-5 relative error and 1e-152 a vanishing Fresnel denominator
+    monkeypatch.setattr(gaprad.transmissivity, "adaptive_integrate", _no_integral)
+    system = GapSystem(BB, BB, 1e-6, 300, 300)
+    for kernel in (energy_transmissivity_pp, momentum_transmissivity_pp):
+        with pytest.raises(ValueError, match=re.escape(f"(omega/c)^2 underflows at omega={bad!r}")):
+            kernel(system, omega)
+
+
+def test_conductance_at_an_underflowing_temperature_names_the_frequency():
+    with pytest.raises(ValueError, match=re.escape("(omega/c)^2 underflows at omega=")):
+        conductance(GapSystem(BB, BB, 1e-6, 300, 300), 1e-300)
+
+
+def test_smallest_frequencies_with_a_normal_wavevector_still_work():
+    system = GapSystem(BB, BB, 1e-6, 300, 300)
+    spec = IntegrationSpec(rtol=1e-6)
+    for omega in (1e-140, 1e-145):
+        exact = (omega / C) ** 2 / (2 * math.pi)
+        bd = energy_transmissivity_pp(system, omega, spec)
+        assert bd.converged and abs(bd.total - exact) <= 1e-6 * exact
