@@ -108,7 +108,9 @@ def _parse_sections(text: str, errors: list[str]) -> _Raw:
 
 
 def _float_of(raw: _Raw, section: str, key: str, errors: list[str],
-              default=None, required=False):
+              default=None, required=False, bound: str = ""):
+    """The finite number under key, or default after an error if the value
+    is bad; bound ("> 0" or ">= 0") also refuses the numbers outside it."""
     value, lineno = raw.get(section, key)
     if value is None:
         if required:
@@ -122,6 +124,9 @@ def _float_of(raw: _Raw, section: str, key: str, errors: list[str],
         number = math.nan
     if not math.isfinite(number):
         errors.append(f"line {lineno}: key {key!r}: not a finite number: {value!r}")
+        return default
+    if bound and not (number > 0.0 if bound == "> 0" else number >= 0.0):
+        errors.append(f"line {lineno}: key {key!r}: must be {bound}, got {number}")
         return default
     return number
 
@@ -137,11 +142,22 @@ def _int_of(raw: _Raw, section: str, key: str, errors: list[str], default=None):
         return default
 
 
-_MATERIAL_KEYS = {
-    "material", "thickness",
-    "eps_re", "eps_im", "mu_re", "mu_im",
-    "eps_inf", "omega_p", "gamma", "mu_inf",
-    "table",
+_SECTION_KEYS = {
+    "gap": {"gap", "T1", "T2", "T", "source"},
+    "integration": {"rtol", "abs_floor", "max_subdivisions", "omega_lo", "omega_hi", "threads"},
+    "output": {"mode", "dir", "omega_min", "omega_max", "points", "scale"},
+    "geometry": {"mesh1", "mesh2", "quad_order", "T1", "T2"},
+}
+# the keys each material model reads besides 'material', with their defaults
+# (None = required), in the order its constructor takes them; lorentz also
+# reads numbered term.N.* / mu_term.N.* oscillators, and film sections also
+# read 'thickness'
+_MODEL_KEYS: dict[str, dict[str, float | None]] = {
+    "black": {},
+    "constant": {"eps_re": 1.0, "eps_im": 0.0, "mu_re": 1.0, "mu_im": 0.0},
+    "drude": {"eps_inf": None, "omega_p": None, "gamma": None, "mu_re": 1.0, "mu_im": 0.0},
+    "lorentz": {"eps_inf": 1.0, "mu_inf": 1.0},
+    "tabulated": {"table": None},
 }
 _TERM_RE = re.compile(r"^(mu_term|term)\.([0-9]+)\.(strength|omega0|gamma)$")
 
@@ -173,79 +189,63 @@ def _load_table(path: Path, lineno: int, errors: list[str]) -> Tabulated | None:
         return None
 
 
-def _material_of(raw: _Raw, section: str, errors: list[str],
-                 base_dir: Path) -> Material | None:
+def _material_of(raw: _Raw, section: str, errors: list[str], base_dir: Path,
+                 film: bool = False) -> Material | None:
     if section not in raw.sections:
         errors.append(f"missing section [{section}]")
         return None
-    keys = raw.sections[section]
     model, model_line = raw.get(section, "material")
     if model is None:
         line = raw.section_lines.get(section)
         errors.append(f"line {line}: missing key 'material' in [{section}]")
         return None
+    if model not in _MODEL_KEYS:
+        errors.append(f"line {model_line}: unknown material model {model!r}")
+        return None
+    reads = _MODEL_KEYS[model]
+    n_errors = len(errors)
 
-    # a value that fails to parse is kept as None, so it is not reported missing too
     terms: dict[str, dict[int, dict[str, float | None]]] = {"term": {}, "mu_term": {}}
-    for key, (value, lineno) in keys.items():
-        m = _TERM_RE.match(key)
+    for key, (_, lineno) in raw.sections[section].items():
+        m = _TERM_RE.match(key) if model == "lorentz" else None
         if m:
             group, idx, param = m.group(1), int(m.group(2)), m.group(3)
             terms[group].setdefault(idx, {})[param] = _float_of(raw, section, key, errors)
-            continue
-        if key not in _MATERIAL_KEYS:
-            errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
-
-    def osc_terms(group: str):
-        out = []
-        for idx in sorted(terms[group]):
-            t = terms[group][idx]
-            missing = {"strength", "omega0", "gamma"} - set(t)
+        elif key not in reads and key != "material" and not (film and key == "thickness"):
+            errors.append(f"line {lineno}: unknown key {key!r} in [{section}] "
+                          f"(material {model!r})")
+    for group, found in terms.items():
+        for idx in sorted(found):
+            missing = {"strength", "omega0", "gamma"} - set(found[idx])
             if missing:
                 errors.append(f"[{section}] {group}.{idx} missing {sorted(missing)}")
-                return None
-            if None in t.values():
-                return None
-            out.append((t["strength"], t["omega0"], t["gamma"]))
-        return tuple(out)
+
+    if model == "tabulated":    # its one key names a file, not a number
+        (key,) = reads
+        rel, lineno = raw.get(section, key)
+        if rel is None:
+            errors.append(f"line {model_line}: tabulated material needs a {key!r} key")
+            return None
+        return _load_table((base_dir / rel).resolve(), lineno, errors)
+    x = [_float_of(raw, section, key, errors, default, required=default is None)
+         for key, default in reads.items()]
+    # a material is built only from values that all parsed: one error per bad value
+    if len(errors) > n_errors:
+        return None
 
     try:
         if model == "black":
             return Black()
         if model == "constant":
-            return Constant(
-                complex(_float_of(raw, section, "eps_re", errors, 1.0),
-                        _float_of(raw, section, "eps_im", errors, 0.0)),
-                complex(_float_of(raw, section, "mu_re", errors, 1.0),
-                        _float_of(raw, section, "mu_im", errors, 0.0)))
+            return Constant(complex(*x[:2]), complex(*x[2:]))
         if model == "drude":
-            return Drude(
-                eps_inf=_float_of(raw, section, "eps_inf", errors, required=True),
-                omega_p=_float_of(raw, section, "omega_p", errors, required=True),
-                gamma=_float_of(raw, section, "gamma", errors, required=True),
-                mu=complex(_float_of(raw, section, "mu_re", errors, 1.0),
-                           _float_of(raw, section, "mu_im", errors, 0.0)))
-        if model == "lorentz":
-            eps_terms = osc_terms("term")
-            mu_terms = osc_terms("mu_term")
-            if eps_terms is None or mu_terms is None:
-                return None
-            return LorentzSum(
-                eps_inf=_float_of(raw, section, "eps_inf", errors, 1.0),
-                eps_terms=eps_terms,
-                mu_inf=_float_of(raw, section, "mu_inf", errors, 1.0),
-                mu_terms=mu_terms)
-        if model == "tabulated":
-            rel, lineno = raw.get(section, "table")
-            if rel is None:
-                errors.append(f"line {model_line}: tabulated material needs a 'table' key")
-                return None
-            return _load_table((base_dir / rel).resolve(), lineno, errors)
-    except (ValueError, TypeError) as exc:
+            return Drude(*x[:3], complex(*x[3:]))
+        osc = [tuple((t["strength"], t["omega0"], t["gamma"]) for _, t in sorted(terms[g].items()))
+               for g in ("term", "mu_term")]
+        return LorentzSum(x[0], osc[0], x[1], osc[1])
+    except ValueError as exc:
         errors.append(f"line {model_line}: [{section}]: {exc}")
         return None
-    errors.append(f"line {model_line}: unknown material model {model!r}")
-    return None
 
 
 def _stack_of(raw: _Raw, body: str, errors: list[str], base_dir: Path) -> LayerStack | None:
@@ -257,12 +257,8 @@ def _stack_of(raw: _Raw, body: str, errors: list[str], base_dir: Path) -> LayerS
     for expected, (idx, name) in enumerate(film_sections, start=1):
         if idx != expected:
             errors.append(f"[{name}]: film indices must be 1..N without gaps")
-        material = _material_of(raw, name, errors, base_dir)
-        thickness = _float_of(raw, name, "thickness", errors, required=True)
-        if thickness is not None and thickness <= 0.0:
-            _, lineno = raw.get(name, "thickness")
-            errors.append(f"line {lineno}: key 'thickness': must be > 0, got {thickness}")
-            thickness = None
+        material = _material_of(raw, name, errors, base_dir, film=True)
+        thickness = _float_of(raw, name, "thickness", errors, required=True, bound="> 0")
         if material is not None and thickness is not None:
             films.append((material, thickness))
     if terminal is None:
@@ -279,19 +275,11 @@ def parse_config(text: str, base_dir: Path | str = ".",
     errors: list[str] = []
     raw = _parse_sections(text, errors)
 
-    known = {"gap", "body1", "body2", "integration", "output", "geometry"}
     for name in raw.sections:
-        if name not in known and not _FILM_RE.match(name):
+        if name not in (*_SECTION_KEYS, "body1", "body2") and not _FILM_RE.match(name):
             errors.append(f"line {raw.section_lines[name]}: unknown section [{name}]")
 
-    section_keys = {
-        "gap": {"gap", "T1", "T2", "T", "source"},
-        "integration": {"rtol", "abs_floor", "max_subdivisions",
-                        "omega_lo", "omega_hi", "threads"},
-        "output": {"mode", "dir", "omega_min", "omega_max", "points", "scale"},
-        "geometry": {"mesh1", "mesh2", "quad_order", "T1", "T2"},
-    }
-    for section, allowed in section_keys.items():
+    for section, allowed in _SECTION_KEYS.items():
         for key, (_, lineno) in raw.sections.get(section, {}).items():
             if key not in allowed:
                 errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
@@ -329,25 +317,22 @@ def parse_config(text: str, base_dir: Path | str = ".",
         errors.append(f"[integration]: {exc}")
 
     if mode in ("spectrum", "heat-flux", "conductance", "pressure"):
-        gap = _float_of(raw, "gap", "gap", errors, required=True)
-        if gap is not None and gap <= 0.0:
-            _, lineno = raw.get("gap", "gap")
-            errors.append(f"line {lineno}: key 'gap': must be > 0, got {gap}")
-            gap = None
-        T1 = _float_of(raw, "gap", "T1", errors, 0.0)
-        T2 = _float_of(raw, "gap", "T2", errors, 0.0)
-        for key, val in (("T1", T1), ("T2", T2)):
-            if val is not None and val < 0.0:
-                _, lineno = raw.get("gap", key)
-                errors.append(f"line {lineno}: key {key!r}: must be >= 0, got {val}")
+        gap = _float_of(raw, "gap", "gap", errors, required=True, bound="> 0")
+        T1 = _float_of(raw, "gap", "T1", errors, 0.0, bound=">= 0")
+        T2 = _float_of(raw, "gap", "T2", errors, 0.0, bound=">= 0")
         body1 = _stack_of(raw, "body1", errors, base_dir)
         body2 = _stack_of(raw, "body2", errors, base_dir)
         if not errors and gap is not None and body1 and body2:
-            cfg.system = GapSystem(body1, body2, gap, T1, T2)
+            try:
+                cfg.system = GapSystem(body1, body2, gap, T1, T2)
+            except ValueError as exc:   # a gap too small for the float range
+                errors.append(f"line {raw.get('gap', 'gap')[1]}: {exc}")
         cfg.T = _float_of(raw, "gap", "T", errors, default=T1 if T1 else None)
         cfg.source = _int_of(raw, "gap", "source", errors, 1)
         if cfg.source not in (1, 2):
             errors.append("[gap]: source must be 1 or 2")
+        if mode == "heat-flux" and not (T1 or T2):
+            errors.append("[gap]: heat-flux mode needs T1 > 0 or T2 > 0")
         if mode == "conductance" and (cfg.T is None or cfg.T <= 0.0):
             errors.append("[gap]: conductance mode needs T > 0 (key 'T' or 'T1')")
         if mode == "pressure":
@@ -393,13 +378,10 @@ def parse_config(text: str, base_dir: Path | str = ".",
         if len(meshes) == 2:
             cfg.meshes = (meshes[0], meshes[1])
         if mode == "bb-heat":
-            t1 = _float_of(raw, "geometry", "T1", errors, required=True)
-            t2 = _float_of(raw, "geometry", "T2", errors, required=True)
+            t1 = _float_of(raw, "geometry", "T1", errors, required=True, bound=">= 0")
+            t2 = _float_of(raw, "geometry", "T2", errors, required=True, bound=">= 0")
             if t1 is not None and t2 is not None:
-                if t1 < 0.0 or t2 < 0.0:
-                    errors.append("[geometry]: temperatures must be >= 0")
-                else:
-                    cfg.geo_temps = (t1, t2)
+                cfg.geo_temps = (t1, t2)
 
     if errors:
         raise ConfigError(errors)

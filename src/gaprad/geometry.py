@@ -115,6 +115,9 @@ class TriMesh:
             raise MeshError("mesh has no triangles")
         if np.any(t < 0) or np.any(t >= len(v)):
             raise MeshError("triangle index out of range")
+        if not np.isfinite(v).all():
+            bad = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise MeshError(f"non-finite vertex {bad}: {v[bad].tolist()}")
         cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
         areas = 0.5 * np.linalg.norm(cross, axis=1)
         if np.any(areas <= _MIN_AREA):
@@ -156,8 +159,8 @@ def load_mesh(path) -> TriMesh:
     """Read an ASCII OBJ subset: 'v x y z' (meters) and 'f i j k' (1-based).
 
     All other line types are ignored and counted on the returned mesh.
-    Malformed v/f lines, out-of-range indices, and degenerate triangles
-    raise MeshError with the offending line number.
+    Malformed v/f lines, non-finite vertices, out-of-range indices, and
+    degenerate triangles raise MeshError with the offending line number.
     """
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
@@ -176,6 +179,8 @@ def load_mesh(path) -> TriMesh:
                     vertices.append([float(p) for p in parts[1:]])
                 except ValueError as exc:
                     raise MeshError(f"{path}:{lineno}: malformed vertex line: {exc}") from None
+                if not all(map(math.isfinite, vertices[-1])):
+                    raise MeshError(f"{path}:{lineno}: non-finite vertex {raw.rstrip()!r}")
             elif tag == "f":
                 if len(parts) != 4:
                     raise MeshError(f"{path}:{lineno}: face must have exactly 3 indices")

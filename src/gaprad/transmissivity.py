@@ -60,6 +60,9 @@ class GapSystem:
     def __post_init__(self) -> None:
         if not (self.gap > 0.0 and math.isfinite(self.gap)):
             raise ValueError(f"gap must be positive, got {self.gap!r}")
+        if not math.isfinite(EVANESCENT_CUTOFF / self.gap * EVANESCENT_CUTOFF / self.gap):
+            raise ValueError(f"gap {self.gap!r} m is too small: "
+                             "(EVANESCENT_CUTOFF/gap)^2 overflows")
         if not all(T >= 0.0 and math.isfinite(T) for T in (self.T1, self.T2)):
             raise ValueError(f"T1 and T2 must be finite and >= 0, got {self.T1!r}, {self.T2!r}")
 
@@ -179,13 +182,27 @@ def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
     underflow = (w / _C) ** 2 < np.finfo(float).tiny
     if underflow.any():
         raise ValueError(f"(omega/c)^2 underflows at omega={float(w[underflow][0])!r} rad/s")
+    # Landauer-ceiling scales of the two branches (unit integrand over the measure), times
+    # the branch bound of |kz|/w for the momentum kernel: each sets its branch's noise floor
+    k0, gap, t_max = w / _C, system.gap, EVANESCENT_CUTOFF
+    with np.errstate(over="ignore"):
+        scale_prop = k0 * k0 / (4.0 * math.pi)
+        scale_evan = np.full_like(w, t_max * t_max / (4.0 * math.pi * gap * gap))
+        if momentum:
+            scale_prop *= 2.0 * k0 / w
+            scale_evan *= 2.0 * t_max / (w * gap)
+    overflow = ~(np.isfinite(scale_prop) & np.isfinite(scale_evan))
+    if overflow.any():
+        raise ValueError(f"branch ceiling is not finite at gap={gap!r} m, "
+                         f"omega={float(w[overflow][0])!r} rad/s")
     out = [bd for i in range(0, len(w), _OMEGA_GROUP)
-           for bd in _group(system, w[i:i + _OMEGA_GROUP], integrand, spec, momentum)]
+           for bd in _group(system, w[i:i + _OMEGA_GROUP], integrand, spec,
+                            scale_prop[i:i + _OMEGA_GROUP], scale_evan[i:i + _OMEGA_GROUP])]
     return out if np.ndim(omegas) else out[0]
 
 
 def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSpec,
-           momentum: bool) -> list[ChannelBreakdown]:
+           scale_prop: np.ndarray, scale_evan: np.ndarray) -> list[ChannelBreakdown]:
     k0 = omegas / _C
     gap = system.gap
     bodies = (system.body1,) if system.body1 == system.body2 else (system.body1, system.body2)
@@ -215,14 +232,6 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
                 * integrand(r1, r2, krho, omegas[row], gap, khz=q)).T
 
     t_max = EVANESCENT_CUTOFF
-    # Landauer-ceiling scales of the two branches (unit integrand over the
-    # measure), times the branch bound of |kz|/w for the momentum kernel
-    scale_prop = k0 * k0 / (4.0 * math.pi)
-    scale_evan = t_max * t_max / (4.0 * math.pi * gap * gap)
-    if momentum:
-        scale_prop *= 2.0 * k0 / omegas
-        scale_evan *= 2.0 * t_max / (omegas * gap)
-
     res_prop = adaptive_integrate(f_prop, 0.0, 1.0, spec,
                                   initial_edges=np.linspace(0.0, 1.0, 17),
                                   abs_floor=NOISE_FRACTION * scale_prop, batch=len(omegas))

@@ -423,3 +423,61 @@ def test_bad_frequency_window_is_a_config_error(tmp_path, capsys, lo, hi):
     err = capsys.readouterr().err
     assert "config error: [integration]: frequency window must satisfy 0 < lo < hi < inf" in err
     assert not (tmp_path / "out").exists()
+
+
+def config_errors(capsys):
+    return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("config error")]
+
+
+@pytest.mark.parametrize("body1, key, model", [
+    ("material = constant\nomega_p = 1e16", "omega_p", "constant"),
+    ("material = black\neps_re = 2", "eps_re", "black"),
+    ("material = drude\neps_inf = 1\nomega_p = 1e16\ngamma = 1e14\nterm.1.strength = 1",
+     "term.1.strength", "drude"),
+    ("material = lorentz\ntable = eps.txt", "table", "lorentz"),
+    ("material = black\nthickness = 1e-8", "thickness", "black"),
+], ids=["constant", "black", "drude", "lorentz", "terminal-thickness"])
+def test_key_the_model_never_reads_is_one_error(tmp_path, capsys, body1, key, model):
+    text = BB_GAP.replace("[body1]\nmaterial = black", "[body1]\n" + body1)
+    line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(key + " "))
+    assert run_cli(tmp_path, text + "\n[output]\nmode = heat-flux\ndir = out\n") == 2
+    assert config_errors(capsys) == [
+        f"config error: line {line}: unknown key {key!r} in [body1] (material {model!r})"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gamma, error", [
+    ("", "line 7: missing key 'gamma' in [body1]"),
+    ("gamma = nan\n", "line 11: key 'gamma': not a finite number: 'nan'"),
+], ids=["missing", "nan"])
+def test_bad_drude_value_is_one_error(tmp_path, capsys, gamma, error):
+    drude = "[body1]\nmaterial = drude\neps_inf = 1\nomega_p = 1e16\n" + gamma
+    text = BB_GAP.replace("[body1]\nmaterial = black\n", drude)
+    assert run_cli(tmp_path, text + "\n[output]\nmode = heat-flux\ndir = out\n") == 2
+    assert config_errors(capsys) == [f"config error: {error}"]
+
+
+def test_heat_flux_without_a_positive_temperature_is_a_config_error(tmp_path, capsys):
+    text = BB_GAP.replace("T1 = 400", "T1 = 0").replace("T2 = 300", "T2 = 0")
+    assert run_cli(tmp_path, text + "\n[output]\nmode = heat-flux\ndir = out\n") == 2
+    assert config_errors(capsys) == ["config error: [gap]: heat-flux mode needs T1 > 0 or T2 > 0"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_gap_below_the_float_range_is_a_config_error_on_its_line(tmp_path, capsys):
+    text = BB_GAP.replace("gap = 1e-6", "gap = 1e-200")
+    assert run_cli(tmp_path, text + "\n[output]\nmode = heat-flux\ndir = out\n") == 2
+    assert config_errors(capsys) == ["config error: line 3: gap 1e-200 m is too small: "
+                                     "(EVANESCENT_CUTOFF/gap)^2 overflows"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_mesh_vertex_is_a_config_error_on_its_line(tmp_path, capsys):
+    save_obj(rectangle_mesh([0, 0, 1], [0, 1, 0], [1, 0, 0], 2, 2), tmp_path / "sq2.obj")
+    (tmp_path / "sq1.obj").write_text("v 0 0 0\nv nan 1 0\nv 1 0 0\nf 1 2 3\n")
+    text = "[geometry]\nmesh1 = sq1.obj\nmesh2 = sq2.obj\n[output]\nmode = viewfactor\ndir = out\n"
+    assert run_cli(tmp_path, text) == 2
+    (error,) = config_errors(capsys)
+    assert error.startswith("config error: line 2: ")
+    assert error.endswith("sq1.obj:2: non-finite vertex 'v nan 1 0'")
+    assert not (tmp_path / "out").exists()

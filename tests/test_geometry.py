@@ -355,3 +355,15 @@ def test_separation_is_sampled_on_near_pairs_only(monkeypatch):
     masks.clear()
     view_factor(m1, m2)
     assert sum(pairs) == 512 * 512 and len(masks) == 1
+
+
+def test_non_finite_vertices_are_refused_by_name(tmp_path):
+    # a NaN vertex once built a mesh of area nan, which view_factor then
+    # blamed on touching meshes
+    tri = np.array([[0, 1, 2]])
+    with pytest.raises(MeshError, match=r"non-finite vertex 2: \[0\.0, nan, 0\.0\]"):
+        TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]]), tri)
+    path = tmp_path / "inf.obj"
+    path.write_text("v 0 0 0\nv inf 1 0\nv 1 0 0\nf 1 2 3\n")
+    with pytest.raises(MeshError, match=re.escape("inf.obj:2: non-finite vertex 'v inf 1 0'")):
+        load_mesh(path)

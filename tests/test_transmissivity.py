@@ -11,7 +11,7 @@ from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
                     IntegrationSpec, LayerStack, Polarization, Tabulated,
                     conductance, energy_integrand, energy_transmissivity_pp,
                     momentum_integrand, momentum_transmissivity_pp,
-                    stack_reflection)
+                    neq_pressure, stack_reflection)
 from conftest import SIC, random_stack
 
 C = CONSTANTS.c
@@ -399,3 +399,21 @@ def test_smallest_frequencies_with_a_normal_wavevector_still_work():
         exact = (omega / C) ** 2 / (2 * math.pi)
         bd = energy_transmissivity_pp(system, omega, spec)
         assert bd.converged and abs(bd.total - exact) <= 1e-6 * exact
+
+
+def test_gaps_at_the_edge_of_the_float_range(monkeypatch):
+    # (EVANESCENT_CUTOFF/gap)^2 stays a float down to ~1.5e-153 m; below it the
+    # evanescent measure overflowed (1e-153) or gap^2 vanished (1e-200)
+    sic = LayerStack(SIC)
+    bd = energy_transmissivity_pp(GapSystem(sic, sic, 1e-152, 400, 300), 1e14)
+    assert bd.converged and 6e296 < bd.total < 7e296
+    for gap in (1e-153, 1e-200):
+        with pytest.raises(ValueError, match=re.escape(f"gap {gap!r} m is too small")):
+            GapSystem(sic, sic, gap, 400, 300)
+    res = neq_pressure(GapSystem(sic, sic, 1e-100, 400, 0), 1, 400, IntegrationSpec(rtol=1e-6))
+    assert res.converged and 2e276 < res.value < 2.2e276
+    # at 1e-110 m the momentum ceiling overflows at the window's low end
+    monkeypatch.setattr(gaprad.transmissivity, "adaptive_integrate", _no_integral)
+    with pytest.raises(ValueError, match=r"branch ceiling is not finite at gap=1e-110 m, "
+                                         r"omega=5\d{9}\.\d+ rad/s"):
+        neq_pressure(GapSystem(sic, sic, 1e-110, 400, 0), 1, 400)
