@@ -131,15 +131,22 @@ def _float_of(raw: _Raw, section: str, key: str, errors: list[str],
     return number
 
 
-def _int_of(raw: _Raw, section: str, key: str, errors: list[str], default=None):
+def _int_of(raw: _Raw, section: str, key: str, errors: list[str], default=None,
+            allowed=None, expect: str = ""):
+    """The integer under key, or default after an error if the value is not
+    an integer or, with allowed, not in it (expect says what it must be)."""
     value, lineno = raw.get(section, key)
     if value is None:
         return default
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         errors.append(f"line {lineno}: key {key!r}: not an integer: {value!r}")
         return default
+    if allowed is not None and number not in allowed:
+        errors.append(f"line {lineno}: key {key!r}: must be {expect}, got {number}")
+        return default
+    return number
 
 
 _SECTION_KEYS = {
@@ -316,10 +323,31 @@ def parse_config(text: str, base_dir: Path | str = ".",
     except ValueError as exc:
         errors.append(f"[integration]: {exc}")
 
-    if mode in ("spectrum", "heat-flux", "conductance", "pressure"):
-        gap = _float_of(raw, "gap", "gap", errors, required=True, bound="> 0")
-        T1 = _float_of(raw, "gap", "T1", errors, 0.0, bound=">= 0")
-        T2 = _float_of(raw, "gap", "T2", errors, 0.0, bound=">= 0")
+    # the values of the fixed sections are checked in every mode, so that a
+    # config that serves several modes through --mode is valid in all of them
+    gap_mode = mode in ("spectrum", "heat-flux", "conductance", "pressure")
+    gap = _float_of(raw, "gap", "gap", errors, required=gap_mode, bound="> 0")
+    T1 = _float_of(raw, "gap", "T1", errors, 0.0, bound=">= 0")
+    T2 = _float_of(raw, "gap", "T2", errors, 0.0, bound=">= 0")
+    cfg.T = _float_of(raw, "gap", "T", errors, default=T1 if T1 else None, bound="> 0")
+    cfg.source = _int_of(raw, "gap", "source", errors, 1, allowed=(1, 2), expect="1 or 2")
+    w_min = _float_of(raw, "output", "omega_min", errors, required=mode == "spectrum",
+                      bound="> 0")
+    w_max = _float_of(raw, "output", "omega_max", errors, required=mode == "spectrum",
+                      bound="> 0")
+    if w_min is not None and w_max is not None and not w_min < w_max:
+        errors.append("[output]: need 0 < omega_min < omega_max")
+    points = _int_of(raw, "output", "points", errors, 50, allowed=range(1, sys.maxsize),
+                     expect=">= 1")
+    scale, scale_line = raw.get("output", "scale", "log")
+    if scale not in ("log", "linear"):
+        errors.append(f"line {scale_line}: key 'scale': must be log or linear")
+    cfg.quad_order = _int_of(raw, "geometry", "quad_order", errors, 4, allowed=TRIANGLE_RULES,
+                             expect=f"one of {sorted(TRIANGLE_RULES)}")
+    geo_temps = [_float_of(raw, "geometry", key, errors, required=mode == "bb-heat",
+                           bound=">= 0") for key in ("T1", "T2")]
+
+    if gap_mode:
         body1 = _stack_of(raw, "body1", errors, base_dir)
         body2 = _stack_of(raw, "body2", errors, base_dir)
         if not errors and gap is not None and body1 and body2:
@@ -327,34 +355,18 @@ def parse_config(text: str, base_dir: Path | str = ".",
                 cfg.system = GapSystem(body1, body2, gap, T1, T2)
             except ValueError as exc:   # a gap too small for the float range
                 errors.append(f"line {raw.get('gap', 'gap')[1]}: {exc}")
-        cfg.T = _float_of(raw, "gap", "T", errors, default=T1 if T1 else None)
-        cfg.source = _int_of(raw, "gap", "source", errors, 1)
-        if cfg.source not in (1, 2):
-            errors.append("[gap]: source must be 1 or 2")
         if mode == "heat-flux" and not (T1 or T2):
             errors.append("[gap]: heat-flux mode needs T1 > 0 or T2 > 0")
-        if mode == "conductance" and (cfg.T is None or cfg.T <= 0.0):
+        if mode == "conductance" and cfg.T is None:
             errors.append("[gap]: conductance mode needs T > 0 (key 'T' or 'T1')")
         if mode == "pressure":
             t_src = T1 if cfg.source == 1 else T2
             if not t_src or t_src <= 0.0:
                 errors.append(f"[gap]: pressure mode needs T{cfg.source} > 0")
 
-    if mode == "spectrum":
-        w_min = _float_of(raw, "output", "omega_min", errors, required=True)
-        w_max = _float_of(raw, "output", "omega_max", errors, required=True)
-        points = _int_of(raw, "output", "points", errors, 50)
-        scale, scale_line = raw.get("output", "scale", "log")
-        if scale not in ("log", "linear"):
-            errors.append(f"line {scale_line}: key 'scale': must be log or linear")
-        elif w_min is not None and w_max is not None:
-            if not (0.0 < w_min < w_max):
-                errors.append("[output]: need 0 < omega_min < omega_max")
-            elif points < 1:
-                errors.append("[output]: points must be >= 1")
-            else:
-                cfg.grid = (np.geomspace(w_min, w_max, points) if scale == "log"
-                            else np.linspace(w_min, w_max, points))
+    if mode == "spectrum" and not errors:
+        cfg.grid = (np.geomspace(w_min, w_max, points) if scale == "log"
+                    else np.linspace(w_min, w_max, points))
 
     if mode in ("viewfactor", "bb-heat"):
         meshes = []
@@ -371,17 +383,10 @@ def parse_config(text: str, base_dir: Path | str = ".",
                 meshes.append(load_mesh(path))
             except ValueError as exc:
                 errors.append(f"line {lineno}: {exc}")
-        cfg.quad_order = _int_of(raw, "geometry", "quad_order", errors, 4)
-        if cfg.quad_order not in TRIANGLE_RULES:
-            errors.append(f"line {raw.get('geometry', 'quad_order')[1]}: key 'quad_order': "
-                          f"must be one of {sorted(TRIANGLE_RULES)}, got {cfg.quad_order}")
         if len(meshes) == 2:
             cfg.meshes = (meshes[0], meshes[1])
-        if mode == "bb-heat":
-            t1 = _float_of(raw, "geometry", "T1", errors, required=True, bound=">= 0")
-            t2 = _float_of(raw, "geometry", "T2", errors, required=True, bound=">= 0")
-            if t1 is not None and t2 is not None:
-                cfg.geo_temps = (t1, t2)
+        if mode == "bb-heat" and None not in geo_temps:
+            cfg.geo_temps = (geo_temps[0], geo_temps[1])
 
     if errors:
         raise ConfigError(errors)
@@ -399,22 +404,26 @@ def _metadata_lines(cfg: RunConfig, prefix: str = "") -> list[str]:
         ("mode", cfg.mode), ("threads", cfg.threads))]
 
 
-def _write_summary(cfg: RunConfig, rows: list[tuple[str, str]]) -> Path:
-    path = cfg.out_dir / "summary.txt"
-    lines = _metadata_lines(cfg) + [f"{k} = {v}" for k, v in rows]
+def _write(cfg: RunConfig, name: str, lines: list[str]) -> Path:
+    """Write lines to a file of the output directory, which is made only now:
+    a run that fails before it has a result leaves no directory behind."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
+def _write_summary(cfg: RunConfig, rows: list[tuple[str, str]]) -> Path:
+    return _write(cfg, "summary.txt", _metadata_lines(cfg) + [f"{k} = {v}" for k, v in rows])
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.integration
 
     if cfg.mode == "spectrum":
         results = spectrum(cfg.system, cfg.grid, spec, threads=cfg.threads)
         ok = all(r.energy.converged and r.momentum.converged for r in results)
-        path = cfg.out_dir / "spectrum.csv"
         lines = _metadata_lines(cfg, "# ")
         if not ok:
             lines.append("# warning = quadrature did not converge on some rows (partial output)")
@@ -424,7 +433,7 @@ def run(cfg: RunConfig) -> int:
             lines.append(",".join(_fmt(v) for v in (
                 r.omega, e.total, e.prop_s, e.prop_p, e.evan_s, e.evan_p,
                 m.total, m.prop_s, m.prop_p, m.evan_s, m.evan_p)))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(cfg, "spectrum.csv", lines)
         if not ok:
             print("warning: quadrature did not converge on some spectrum rows",
                   file=sys.stderr)

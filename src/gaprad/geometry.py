@@ -13,12 +13,16 @@ not modeled, matching the free-space limit itself.  Triangle-pair
 quadrature uses symmetric rules of configurable degree (default 4, six
 points per triangle); pairs closer than three triangle diameters sharpen
 the 1/R^2 kernel, so view factors switch them to an exact contour integral
-over the inner triangle (the dyadic route escalates to the degree-7 rule,
-staying within its far-field regime).
+over the inner triangle, symmetrized over the two orderings so reciprocity
+survives (the dyadic route escalates to the degree-7 rule, staying within
+its far-field regime).
 
-Memory stays bounded on any mesh: every pairwise loop (near-pair mask,
-pair indices, Gauss pair sums, contour pair sums, separation check) runs in
-blocks of about _BLOCK point pairs, sized in one helper, _blocks.
+Far pairs are summed as dense point blocks: the Gauss points of a block of
+mesh-1 triangles against every mesh-2 point, with the block's near entries
+dropped.  Near pairs come as index lists from a per-block centroid test, so
+no array over all triangle pairs is ever built; every pairwise loop runs in
+blocks of about _BLOCK point pairs (at least one triangle's points against
+every mesh-2 point), sized in one helper, _blocks.
 """
 
 from __future__ import annotations
@@ -241,47 +245,74 @@ def _blocks(n: int, per_item: int):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _near_mask(m1: TriMesh, m2: TriMesh) -> np.ndarray:
+def _near_pairs(m1: TriMesh, m2: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays, sorted by i, of the triangle pairs whose centroid
+    distance is under _NEAR_FACTOR larger diameters, one block of m1 at a time."""
     c1, c2 = m1.centroids(), m2.centroids()
     d1, d2 = m1.diameters(), m2.diameters()
-    near = np.empty((len(c1), len(c2)), dtype=bool)
+    found = []
     for s in _blocks(len(c1), len(c2)):
         cdist = np.linalg.norm(c1[s, None, :] - c2[None, :, :], axis=2)
-        near[s] = cdist < _NEAR_FACTOR * np.maximum(d1[s, None], d2[None, :])
-    return near
+        i, j = np.nonzero(cdist < _NEAR_FACTOR * np.maximum(d1[s, None], d2[None, :]))
+        found.append((i + s.start, j))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
-def _mask_pairs(mask: np.ndarray):
-    """(i, j) index arrays of the pairs a mask selects, one block of rows at a time."""
-    for rows in _blocks(*mask.shape):
-        i, j = np.nonzero(mask[rows])
-        yield i + rows.start, j
+def _far_pair_sum(m1: TriMesh, m2: TriMesh, near, order: int, kernel):
+    """Gauss x Gauss quadrature of kernel over the pairs not in near, in dense
+    point blocks: the points of a block of m1 triangles (rows) against every
+    m2 point (columns); near entries get r2 = inf, which drops them from the
+    sum and from r_min.  kernel(x1, n1, x2, n2, d, r2) gets the rows' points
+    and normals (R, 3), the columns' (3, N), the coordinate differences d
+    (three (R, N) arrays) of p1 - p2 and r2 = |p1 - p2|^2, which it may
+    overwrite.  Returns (total, r_min)."""
+    ii, jj = near
+    p1, w1 = m1.quad_points(order)
+    p2, w2 = m2.quad_points(order)
+    k1, k2 = p1.shape[1], p2.shape[1]
+    x1, n1 = p1.reshape(-1, 3), np.repeat(m1.normals, k1, axis=0)
+    x2 = np.ascontiguousarray(p2.reshape(-1, 3).T)
+    n2 = np.ascontiguousarray(np.repeat(m2.normals, k2, axis=0).T)
+    total, r2_min = 0.0, math.inf
+    for s in _blocks(len(p1), k1 * x2.shape[1]):
+        rows = slice(s.start * k1, s.stop * k1)
+        d = [x1[rows, k, None] - x2[k] for k in range(3)]
+        r2 = d[0] * d[0]
+        r2 += d[1] * d[1]
+        r2 += d[2] * d[2]
+        lo, hi = np.searchsorted(ii, (s.start, s.stop))
+        r2.reshape(-1, k1, len(m2.areas), k2)[ii[lo:hi] - s.start, :, jj[lo:hi]] = np.inf
+        r2_min = min(r2_min, float(r2.min()))
+        vals = kernel(x1[rows], n1[rows], x2, n2, d, r2)
+        total += float(w1[s].ravel() @ vals @ w2.ravel())
+    return total, math.sqrt(r2_min)
 
 
-def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pair_blocks, order: int, kernel):
-    """Gauss x Gauss quadrature of kernel over the pairs (i, j) of pair_blocks.
+def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pairs, order: int, kernel):
+    """Gauss x Gauss quadrature of kernel over the pairs (ii, jj).
 
     kernel(rvec, r2, n1, n2) maps the (npair, np1, np2, ...) separation data
-    to pointwise values.  Returns (total, r_min) over the evaluated points.
+    and the normals, broadcast against it, to pointwise values.  Returns
+    (total, r_min) over the evaluated points.
     """
+    ii, jj = pairs
     total = 0.0
     r_min = math.inf
     p1, w1 = m1.quad_points(order)
     p2, w2 = m2.quad_points(order)
-    for ii, jj in pair_blocks:
-        for s in _blocks(ii.size, p1.shape[1] * p2.shape[1]):
-            bi, bj = ii[s], jj[s]
-            rvec = p1[bi][:, :, None, :] - p2[bj][:, None, :, :]
-            r2 = np.einsum("abcx,abcx->abc", rvec, rvec)
-            r_min = min(r_min, float(np.sqrt(r2.min())))
-            ww = w1[bi][:, :, None] * w2[bj][:, None, :]
-            vals = kernel(rvec, r2, m1.normals[bi], m2.normals[bj])
-            total += float(np.sum(ww * vals))
+    for s in _blocks(ii.size, p1.shape[1] * p2.shape[1]):
+        bi, bj = ii[s], jj[s]
+        rvec = p1[bi][:, :, None, :] - p2[bj][:, None, :, :]
+        r2 = np.einsum("abcx,abcx->abc", rvec, rvec)
+        r_min = min(r_min, float(np.sqrt(r2.min())))
+        ww = w1[bi][:, :, None] * w2[bj][:, None, :]
+        vals = kernel(rvec, r2, m1.normals[bi][:, None, None], m2.normals[bj][:, None, None])
+        total += float(np.sum(ww * vals))
     return total, r_min
 
 
 def _contour_point_to_triangle(points: np.ndarray, verts: np.ndarray,
-                               n1: np.ndarray) -> tuple[np.ndarray, float]:
+                               n1: np.ndarray) -> np.ndarray:
     """Exact kernel integral from differential elements to triangles.
 
     Evaluates int over the triangle of (-n1.Rhat)(n2.Rhat)/(pi R^2) dA by the
@@ -290,13 +321,12 @@ def _contour_point_to_triangle(points: np.ndarray, verts: np.ndarray,
     separation is small against the triangle size, where fixed-order Gauss
     quadrature breaks down.
 
-    points (M, 3), verts (M, 3, 3), n1 (M, 3) -> (values (M,), r_min).
+    points (M, 3), verts (M, 3, 3), n1 (M, 3) -> values (M,).
     """
     d = verts - points[:, None, :]                        # (M, 3verts, 3)
     norms = np.linalg.norm(d, axis=2)
-    r_min = float(norms.min())
-    if r_min <= 0.0:
-        return np.zeros(len(points)), 0.0
+    if norms.min() <= 0.0:
+        return np.zeros(len(points))
     u = d / norms[:, :, None]
     total = np.zeros(len(points))
     for k in range(3):
@@ -308,66 +338,41 @@ def _contour_point_to_triangle(points: np.ndarray, verts: np.ndarray,
         safe = np.where(s > 0.0, s, 1.0)
         total += gamma * np.einsum("mx,mx->m", cross / safe[:, None], n1) * (s > 0.0)
     # winding of the contour sum is opposite to the area-kernel sign convention
-    return -total / (2.0 * math.pi), r_min
+    return -total / (2.0 * math.pi)
 
 
-def _contour_pair_sum(m_outer: TriMesh, m_inner: TriMesh, pair_blocks,
-                      order: int) -> tuple[float, float]:
-    """Outer Gauss points on m_outer, exact contour integral over m_inner."""
+def _contour_pair_sum(m_outer: TriMesh, m_inner: TriMesh, pairs, order: int) -> float:
+    """Outer Gauss points on m_outer, exact contour integral over m_inner,
+    over the pairs (io, ij)."""
+    io, ij = pairs
     total = 0.0
-    r_min = math.inf
     p_out, w_out = m_outer.quad_points(order)
     npo = p_out.shape[1]
     tri_verts = m_inner.vertices[m_inner.triangles]       # (nt2, 3, 3)
-    for io, ij in pair_blocks:
-        for s in _blocks(io.size, npo):
-            bi, bj = io[s], ij[s]
-            pts = p_out[bi].reshape(-1, 3)
-            verts = np.repeat(tri_verts[bj], npo, axis=0)
-            n1 = np.repeat(m_outer.normals[bi], npo, axis=0)
-            vals, rm = _contour_point_to_triangle(pts, verts, n1)
-            r_min = min(r_min, rm)
-            total += float(np.sum(w_out[bi].ravel() * vals))
-    return total, r_min
+    for s in _blocks(io.size, 9 * npo):       # one (3, 3) vertex set a point
+        bi, bj = io[s], ij[s]
+        pts = p_out[bi].reshape(-1, 3)
+        verts = np.repeat(tri_verts[bj], npo, axis=0)
+        n1 = np.repeat(m_outer.normals[bi], npo, axis=0)
+        vals = _contour_point_to_triangle(pts, verts, n1)
+        total += float(np.sum(w_out[bi].ravel() * vals))
+    return total
 
 
-def _kernel_double_integral(m1: TriMesh, m2: TriMesh, quad_order: int, kernel,
-                            contour_near: bool) -> tuple[float, float]:
-    """Double-surface integral of kernel over all triangle pairs of two
-    disjoint meshes (the order is checked before the separation).
-
-    Far pairs use the symmetric Gauss x Gauss rule of the requested order.
-    Near pairs (centroid distance under three triangle diameters) escalate
-    to the degree-7 rule; when contour_near is set they instead use the
-    exact contour integral on the inner triangle, symmetrized over the two
-    orderings so reciprocity survives, which stays accurate down to
-    separations far below the triangle size.
-    """
+def _checked_near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int):
+    """Near pairs of two meshes; checks the order, then that they are disjoint."""
     if quad_order not in TRIANGLE_RULES:
         raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
-    near = _check_separation(m1, m2)
-    high_order = max(quad_order, 7)
-
-    total, r_min = _gauss_pair_sum(m1, m2, _mask_pairs(~near), quad_order, kernel)
-    if contour_near:
-        fwd, rm1 = _contour_pair_sum(m1, m2, _mask_pairs(near), high_order)
-        bwd, rm2 = _contour_pair_sum(m2, m1, _mask_pairs(near.T), high_order)
-        total += 0.5 * (fwd + bwd)
-        r_min = min(r_min, rm1, rm2)
-    else:
-        t2, rm = _gauss_pair_sum(m1, m2, _mask_pairs(near), high_order, kernel)
-        total += t2
-        r_min = min(r_min, rm)
-    return total, r_min
+    return _check_separation(m1, m2)
 
 
-def _check_separation(m1: TriMesh, m2: TriMesh) -> np.ndarray:
+def _check_separation(m1: TriMesh, m2: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Reject touching or overlapping meshes by sampled near-pair distance and
-    return the near mask.  Far-pair points are >= 5/3 diameter apart: this is
+    return the near pairs.  Far-pair points are >= 5/3 diameter apart: this is
     the all-pairs decision on meshes whose longest edges all exceed
     6e-13 * sqrt(mean mesh area), and far pairs below that size do not touch."""
-    near = _near_mask(m1, m2)
-    _, d_min = _gauss_pair_sum(m1, m2, _mask_pairs(near), 2, lambda *_: 0.0)
+    near = _near_pairs(m1, m2)
+    _, d_min = _gauss_pair_sum(m1, m2, near, 2, lambda *_: 0.0)
     scale = math.sqrt((m1.area + m2.area) / 2.0)
     if not (d_min > 1e-12 * scale):
         raise ValueError("meshes touch or overlap (vanishing pair distance)")
@@ -382,14 +387,20 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
     mesh 1.  Reciprocity A1 F12 = A2 F21 holds by symmetry of the kernel.
     """
 
-    def kernel(rvec, r2, n1, n2):
-        c1 = np.einsum("abcx,ax->abc", rvec, n1)
-        c2 = np.einsum("abcx,ax->abc", rvec, n2)
-        return -c1 * c2 / (math.pi * r2 * r2)
+    def kernel(x1, n1, x2, n2, d, r2):
+        # -n1.(p1 - p2) / pi and n2.(p1 - p2) as (R, 3) x (3, N) products
+        n1 = n1 / -math.pi
+        c1 = np.einsum("rx,rx->r", n1, x1)[:, None] - n1 @ x2
+        c1 *= x1 @ n2 - np.einsum("xn,xn->n", n2, x2)
+        r2 *= r2
+        c1 /= r2
+        return c1
 
-    total, _ = _kernel_double_integral(m1, m2, quad_order, kernel,
-                                       contour_near=True)
-    return total / m1.area
+    near = _checked_near_pairs(m1, m2, quad_order)
+    far, _ = _far_pair_sum(m1, m2, near, quad_order, kernel)
+    fwd = _contour_pair_sum(m1, m2, near, 7)          # near pairs: both orderings
+    bwd = _contour_pair_sum(m2, m1, near[::-1], 7)
+    return (far + 0.5 * (fwd + bwd)) / m1.area
 
 
 def bb_transmissivity(m1: TriMesh, m2: TriMesh, omega: float,
@@ -438,8 +449,7 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
 
     def kernel(rvec, r2, n1, n2):
         rhat = rvec / np.sqrt(r2)[..., None]
-        x1 = _cross_matrix(n1)[:, None, None, :, :]
-        x2 = _cross_matrix(n2)[:, None, None, :, :]
+        x1, x2 = _cross_matrix(n1), _cross_matrix(n2)
 
         def pair_trace(g):
             # Tr[(n1 x G)(n2 x G)] per point pair; each dyad lives only here
@@ -449,9 +459,13 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
         traces = pair_trace(projector) - pair_trace(_cross_matrix(rhat))
         return k * k * traces / (8.0 * math.pi**2 * r2)
 
-    total, r_min = _kernel_double_integral(m1, m2, quad_order, kernel,
-                                           contour_near=False)
-    return DirectResult(value=total, r_min=r_min,
+    near = _checked_near_pairs(m1, m2, quad_order)
+    far, r_far = _far_pair_sum(
+        m1, m2, near, quad_order,
+        lambda x1, n1, x2, n2, d, r2: kernel(np.stack(d, axis=-1), r2, n1[:, None], n2.T[None]))
+    close, r_close = _gauss_pair_sum(m1, m2, near, 7, kernel)    # near pairs, degree 7
+    r_min = min(r_far, r_close)
+    return DirectResult(value=far + close, r_min=r_min,
                         far_field_ok=bool(r_min * omega / _C >= _FAR_FIELD_MIN))
 
 

@@ -481,3 +481,46 @@ def test_non_finite_mesh_vertex_is_a_config_error_on_its_line(tmp_path, capsys):
     assert error.startswith("config error: line 2: ")
     assert error.endswith("sq1.obj:2: non-finite vertex 'v nan 1 0'")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["heat-flux", "viewfactor"])
+@pytest.mark.parametrize("section, entry, error", [
+    ("gap", "T = -5", "key 'T': must be > 0, got -5.0"),
+    ("gap", "source = 3", "key 'source': must be 1 or 2, got 3"),
+    ("output", "omega_min = -1", "key 'omega_min': must be > 0, got -1.0"),
+    ("output", "points = 0", "key 'points': must be >= 1, got 0"),
+    ("output", "scale = cubic", "key 'scale': must be log or linear"),
+    ("geometry", "T1 = -5", "key 'T1': must be >= 0, got -5.0"),
+    ("geometry", "quad_order = 3", "key 'quad_order': must be one of [1, 2, 4, 7], got 3"),
+], ids=["T", "source", "omega_min", "points", "scale", "geometry-T1", "quad_order"])
+def test_bad_value_of_another_mode_is_one_error_on_its_line(tmp_path, capsys, mode,
+                                                           section, entry, error):
+    save_obj(rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 1, 1), tmp_path / "sq1.obj")
+    save_obj(rectangle_mesh([0, 0, 1], [0, 1, 0], [1, 0, 0], 1, 1), tmp_path / "sq2.obj")
+    text = BB_GAP + ("\n[geometry]\nmesh1 = sq1.obj\nmesh2 = sq2.obj\n"
+                     f"\n[output]\nmode = {mode}\ndir = out\n")
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{entry}\n")
+    line = text.splitlines().index(entry) + 1
+    assert run_cli(tmp_path, text) == 2
+    assert config_errors(capsys) == [f"config error: line {line}: {error}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_valid_keys_of_other_modes_still_parse():
+    text = BB_GAP.replace("T2 = 300", "T2 = 300\nT = 300\nsource = 2") + (
+        "\n[output]\nmode = heat-flux\nomega_min = 1e13\nomega_max = 1e15\n"
+        "points = 5\nscale = linear\n")
+    for mode in ("heat-flux", "conductance", "pressure", "spectrum"):
+        cfg = parse_config(text, mode=mode)
+        assert cfg.T == 300.0 and cfg.source == 2
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    # the momentum ceiling overflows only inside the run, once the window is known
+    sic = ("[body1]\nmaterial = lorentz\neps_inf = 6.7\nterm.1.strength = 3.3\n"
+           "term.1.omega0 = 1.5e14\nterm.1.gamma = 9e11")
+    text = BB_GAP.replace("gap = 1e-6", "gap = 1e-110").replace("[body1]\nmaterial = black", sic)
+    assert run_cli(tmp_path, text + "\n[output]\nmode = pressure\n",
+                   "--out", str(tmp_path / "out")) == 1
+    assert "error: branch ceiling is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -241,11 +241,14 @@ def test_view_factor_peak_memory_is_bounded_by_the_block():
 def test_small_blocks_give_the_same_values(monkeypatch):
     # near (contour) and far (Gauss) pairs both occur on this pair
     m1, m2 = facing_square_pair(0.5, 4)
-    near = geometry._near_mask(m1, m2)
-    assert near.any() and not near.all()
+    cdist = np.linalg.norm(m1.centroids()[:, None] - m2.centroids()[None], axis=2)
+    all_pairs = np.nonzero(cdist < geometry._NEAR_FACTOR
+                           * np.maximum(m1.diameters()[:, None], m2.diameters()[None]))
+    assert 0 < all_pairs[0].size < cdist.size
     before = (view_factor(m1, m2), bb_transmissivity_direct(m1, m2, 1e15))
     monkeypatch.setattr(geometry, "_BLOCK", 101)   # every loop straddles many blocks
-    assert np.array_equal(geometry._near_mask(m1, m2), near)
+    near = geometry._near_pairs(m1, m2)
+    assert all(np.array_equal(a, b) for a, b in zip(near, all_pairs, strict=True))
     after = (view_factor(m1, m2), bb_transmissivity_direct(m1, m2, 1e15))
     assert abs(after[0] - before[0]) <= 1e-13 * abs(before[0])
     assert abs(after[1].value - before[1].value) <= 1e-13 * abs(before[1].value)
@@ -262,6 +265,16 @@ def test_pair_index_arrays_are_blocked_too(monkeypatch):
     blocked = []
     assert _traced_peak_mb(lambda: blocked.append(view_factor(m1, m2))) < all_pairs_mb
     assert abs(blocked[0] - default) <= 1e-13 * default
+
+
+@pytest.mark.parametrize("m2", [
+    rectangle_mesh([0, 0, 0.5], [0, 1, 0], [1, 0, 0], 32, 32),    # coaxial
+    rectangle_mesh([0, 0, 0], [0, 1, 0], [0, 0, 1], 32, 32),      # perpendicular
+], ids=["coaxial", "perpendicular"])
+def test_view_factor_builds_no_all_pairs_array(m2):
+    # 2048 x 2048 triangle pairs: an all-pairs boolean mask alone is 4.2 MB
+    m1 = rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 32, 32)
+    assert _traced_peak_mb(lambda: view_factor(m1, m2, quad_order=1)) < 6.0
 
 
 def test_small_blocks_still_reject_touching_meshes(monkeypatch):
@@ -332,29 +345,39 @@ def test_direct_route_keeps_its_values(meshes, order, value, r_min):
 
 def test_separation_is_sampled_on_near_pairs_only(monkeypatch):
     # 16 x 16 coaxial squares 0.5 m apart: every pair is far
-    pairs, masks = [], []
-    gauss_pair_sum, near_mask = geometry._gauss_pair_sum, geometry._near_mask
+    sampled, near_calls, far_blocks = [], [], []
+    gauss_pair_sum, near_pairs = geometry._gauss_pair_sum, geometry._near_pairs
+    far_pair_sum = geometry._far_pair_sum
 
-    def counted_pairs(m1, m2, pair_blocks, order, kernel):
-        def blocks():
-            for ii, jj in pair_blocks:
-                pairs.append(ii.size)
-                yield ii, jj
-        return gauss_pair_sum(m1, m2, blocks(), order, kernel)
+    def counted_pairs(m1, m2, pairs, order, kernel):
+        sampled.append(pairs[0].size)
+        return gauss_pair_sum(m1, m2, pairs, order, kernel)
 
-    def counted_mask(m1, m2):
-        masks.append(None)
-        return near_mask(m1, m2)
+    def counted_near(m1, m2):
+        near_calls.append(None)
+        return near_pairs(m1, m2)
+
+    def counted_far(m1, m2, near, order, kernel):
+        def counted_kernel(x1, n1, x2, n2, d, r2):
+            far_blocks.append((len(x1), x2.shape[1], int(np.isfinite(r2).sum())))
+            return kernel(x1, n1, x2, n2, d, r2)
+        return far_pair_sum(m1, m2, near, order, counted_kernel)
 
     monkeypatch.setattr(geometry, "_gauss_pair_sum", counted_pairs)
-    monkeypatch.setattr(geometry, "_near_mask", counted_mask)
+    monkeypatch.setattr(geometry, "_near_pairs", counted_near)
+    monkeypatch.setattr(geometry, "_far_pair_sum", counted_far)
     m1, m2 = facing_square_pair(0.5, 16)
     geometry._check_separation(m1, m2)
-    assert sum(pairs) == 0
-    pairs.clear()
-    masks.clear()
+    assert sum(sampled) == 0
+    sampled.clear()
+    near_calls.clear()
     view_factor(m1, m2)
-    assert sum(pairs) == 512 * 512 and len(masks) == 1
+    assert sum(sampled) == 0 and len(near_calls) == 1
+    # six Gauss points a triangle: 512 x 6 rows, each block against all
+    # 512 x 6 columns, and no entry dropped as near
+    rows, cols, finite = zip(*far_blocks)
+    assert sum(rows) == 512 * 6 and set(cols) == {512 * 6}
+    assert sum(finite) == 512 * 512 * 36
 
 
 def test_non_finite_vertices_are_refused_by_name(tmp_path):
