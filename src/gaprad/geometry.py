@@ -8,21 +8,21 @@ transmissivity patch pair by patch pair from real far-field dyads (the
 projector and curl forms, whose phase e^{ikR} cancels in every trace, each
 trace two 3x3 products), exercising the algebra the closed form short-cuts.
 
-Supported geometries are mutually fully visible convex pairs; occlusion is
-not modeled, matching the free-space limit itself.  Triangle-pair
-quadrature uses symmetric rules of configurable degree (default 4, six
-points per triangle); pairs closer than three triangle diameters sharpen
-the 1/R^2 kernel, so view factors switch them to an exact contour integral
-over the inner triangle, symmetrized over the two orderings so reciprocity
-survives (the dyadic route escalates to the degree-7 rule, staying within
-its far-field regime).
+Supported geometries are mutually fully visible pairs; occlusion is not
+modeled, matching the free-space limit itself.  A view factor is one sum
+over the two mesh boundaries: Stokes' theorem on both surfaces turns the
+area kernel into a double contour integral of ln r, so interior edges
+cancel and no triangle pair is visited.
 
-Far pairs are summed as dense point blocks: the Gauss points of a block of
-mesh-1 triangles against every mesh-2 point, with the block's near entries
-dropped.  Near pairs come as index lists from a per-block centroid test, so
-no array over all triangle pairs is ever built; every pairwise loop runs in
-blocks of about _BLOCK point pairs (at least one triangle's points against
-every mesh-2 point), sized in one helper, _blocks.
+The dyadic route uses symmetric triangle rules of configurable degree
+(default 4, six points per triangle) and escalates pairs closer than three
+triangle diameters to the degree-7 rule, staying within its far-field
+regime.  Its far pairs are summed as dense point blocks: the Gauss points
+of a block of mesh-1 triangles against every mesh-2 point, with the
+block's near entries dropped.  Near pairs come as index lists from a
+per-block centroid test, so no array over all triangle pairs is ever
+built; every pairwise loop runs in blocks of about _BLOCK entries, sized
+in one helper, _blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import CONSTANTS, _positive_omega, planck_energy
-from .quadrature import IntegrationSpec, adaptive_integrate
+from .quadrature import _WK, _XK, IntegrationSpec, adaptive_integrate
 from .spectral import _outer_edges, auto_window
 
 __all__ = [
@@ -56,7 +56,9 @@ _SIGMA = CONSTANTS.sigma_sb
 
 _MIN_AREA = 1e-18          # m^2, degenerate-triangle threshold
 _FAR_FIELD_MIN = 10.0      # warn when R_min * omega / c drops below this
-_NEAR_FACTOR = 3.0         # centroid distance vs triangle diameter escalation
+_NEAR_FACTOR = 3.0 * (1 + 1e-9)   # centroid distance vs triangle diameter
+                                  # escalation; the margin settles exact ties
+                                  # of regular meshes wherever they sit
 _BLOCK = 2**15             # point pairs per block of every pairwise loop: one
                            # (..., 3, 3) dyad of the direct route < 2.5 MB
 
@@ -262,28 +264,25 @@ def _far_pair_sum(m1: TriMesh, m2: TriMesh, near, order: int, kernel):
     """Gauss x Gauss quadrature of kernel over the pairs not in near, in dense
     point blocks: the points of a block of m1 triangles (rows) against every
     m2 point (columns); near entries get r2 = inf, which drops them from the
-    sum and from r_min.  kernel(x1, n1, x2, n2, d, r2) gets the rows' points
-    and normals (R, 3), the columns' (3, N), the coordinate differences d
-    (three (R, N) arrays) of p1 - p2 and r2 = |p1 - p2|^2, which it may
-    overwrite.  Returns (total, r_min)."""
+    sum and from r_min.  kernel(rvec, r2, n1, n2) is as for _gauss_pair_sum,
+    on (R, N) blocks with rvec = p1 - p2.  Returns (total, r_min)."""
     ii, jj = near
     p1, w1 = m1.quad_points(order)
     p2, w2 = m2.quad_points(order)
     k1, k2 = p1.shape[1], p2.shape[1]
     x1, n1 = p1.reshape(-1, 3), np.repeat(m1.normals, k1, axis=0)
-    x2 = np.ascontiguousarray(p2.reshape(-1, 3).T)
-    n2 = np.ascontiguousarray(np.repeat(m2.normals, k2, axis=0).T)
+    x2, n2 = p2.reshape(-1, 3), np.repeat(m2.normals, k2, axis=0)
     total, r2_min = 0.0, math.inf
-    for s in _blocks(len(p1), k1 * x2.shape[1]):
+    for s in _blocks(len(p1), k1 * len(x2)):
         rows = slice(s.start * k1, s.stop * k1)
-        d = [x1[rows, k, None] - x2[k] for k in range(3)]
-        r2 = d[0] * d[0]
-        r2 += d[1] * d[1]
-        r2 += d[2] * d[2]
+        rvec = x1[rows, None, :] - x2[None, :, :]
+        r2 = rvec[..., 0] * rvec[..., 0]
+        r2 += rvec[..., 1] * rvec[..., 1]
+        r2 += rvec[..., 2] * rvec[..., 2]
         lo, hi = np.searchsorted(ii, (s.start, s.stop))
         r2.reshape(-1, k1, len(m2.areas), k2)[ii[lo:hi] - s.start, :, jj[lo:hi]] = np.inf
         r2_min = min(r2_min, float(r2.min()))
-        vals = kernel(x1[rows], n1[rows], x2, n2, d, r2)
+        vals = kernel(rvec, r2, n1[rows, None], n2[None])
         total += float(w1[s].ravel() @ vals @ w2.ravel())
     return total, math.sqrt(r2_min)
 
@@ -311,54 +310,6 @@ def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pairs, order: int, kernel):
     return total, r_min
 
 
-def _contour_point_to_triangle(points: np.ndarray, verts: np.ndarray,
-                               n1: np.ndarray) -> np.ndarray:
-    """Exact kernel integral from differential elements to triangles.
-
-    Evaluates int over the triangle of (-n1.Rhat)(n2.Rhat)/(pi R^2) dA by the
-    boundary-contour form (Stokes): the result is signed by the triangle
-    winding exactly like the area kernel, and stays accurate when the
-    separation is small against the triangle size, where fixed-order Gauss
-    quadrature breaks down.
-
-    points (M, 3), verts (M, 3, 3), n1 (M, 3) -> values (M,).
-    """
-    d = verts - points[:, None, :]                        # (M, 3verts, 3)
-    norms = np.linalg.norm(d, axis=2)
-    if norms.min() <= 0.0:
-        return np.zeros(len(points))
-    u = d / norms[:, :, None]
-    total = np.zeros(len(points))
-    for k in range(3):
-        ua = u[:, k, :]
-        ub = u[:, (k + 1) % 3, :]
-        cross = np.cross(ua, ub)
-        s = np.linalg.norm(cross, axis=1)
-        gamma = np.arctan2(s, np.einsum("mx,mx->m", ua, ub))
-        safe = np.where(s > 0.0, s, 1.0)
-        total += gamma * np.einsum("mx,mx->m", cross / safe[:, None], n1) * (s > 0.0)
-    # winding of the contour sum is opposite to the area-kernel sign convention
-    return -total / (2.0 * math.pi)
-
-
-def _contour_pair_sum(m_outer: TriMesh, m_inner: TriMesh, pairs, order: int) -> float:
-    """Outer Gauss points on m_outer, exact contour integral over m_inner,
-    over the pairs (io, ij)."""
-    io, ij = pairs
-    total = 0.0
-    p_out, w_out = m_outer.quad_points(order)
-    npo = p_out.shape[1]
-    tri_verts = m_inner.vertices[m_inner.triangles]       # (nt2, 3, 3)
-    for s in _blocks(io.size, 9 * npo):       # one (3, 3) vertex set a point
-        bi, bj = io[s], ij[s]
-        pts = p_out[bi].reshape(-1, 3)
-        verts = np.repeat(tri_verts[bj], npo, axis=0)
-        n1 = np.repeat(m_outer.normals[bi], npo, axis=0)
-        vals = _contour_point_to_triangle(pts, verts, n1)
-        total += float(np.sum(w_out[bi].ravel() * vals))
-    return total
-
-
 def _checked_near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int):
     """Near pairs of two meshes; checks the order, then that they are disjoint."""
     if quad_order not in TRIANGLE_RULES:
@@ -379,28 +330,72 @@ def _check_separation(m1: TriMesh, m2: TriMesh) -> tuple[np.ndarray, np.ndarray]
     return near
 
 
+def _boundary_edges(mesh: TriMesh):
+    """(starts, vectors, multiplicities) of the directed edges with nonzero
+    net count: an edge met once each way is interior and cancels, so mixed
+    winding leaves each edge the multiplicity its signed faces give it."""
+    t, nv = mesh.triangles, len(mesh.vertices)
+    a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
+    keys, inv = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
+    net = np.bincount(inv.ravel(), np.where(a < b, 1.0, -1.0), len(keys))
+    lo, hi = np.divmod(keys[net != 0], nv)
+    return mesh.vertices[lo], mesh.vertices[hi] - mesh.vertices[lo], net[net != 0]
+
+
+# outer rule of the boundary sum on [0, 1]: the 15 Kronrod nodes on each
+# half, mapped through s = 3 tau^2 - 2 tau^3 to grade them toward the half's
+# ends, where a shared edge or corner puts the log singularity
+_TAU = (1.0 + _XK) / 2.0
+_EDGE_S = np.concatenate([0.5 * (3.0 - 2.0 * _TAU) * _TAU**2,
+                          0.5 + 0.5 * (3.0 - 2.0 * _TAU) * _TAU**2])
+_EDGE_W = np.tile(1.5 * _WK * _TAU * (1.0 - _TAU), 2)
+
+
 def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
     """View factor F12 between two disjoint meshes.
 
-    Fixed-order Gauss quadrature of (-n1.Rhat)(n2.Rhat) / (pi R^2) over every
-    triangle pair, with Rhat from the point on mesh 2 toward the point on
-    mesh 1.  Reciprocity A1 F12 = A2 F21 holds by symmetry of the kernel.
+    The signed kernel (-n1.Rhat)(n2.Rhat) / (pi R^2), with Rhat from the
+    point on mesh 2 toward the point on mesh 1, is integrated by Stokes'
+    theorem on both surfaces: A1 F12 = (1/2 pi) oint oint ln r dr1.dr2 over
+    the mesh boundaries, where interior edges cancel (Sparrow, J. Heat
+    Transfer 85, 81, 1963).  The inner edge integral is in closed form; the
+    outer one takes the graded Kronrod rule on every boundary edge of mesh 1.
+    Reciprocity A1 F12 = A2 F21 holds to the outer rule's accuracy.
+    quad_order is validated but does not change the value (it sets the
+    dyadic route's rule).  Both meshes in one plane give exactly 0, and so
+    does a closed mesh, which has no boundary.
     """
+    _checked_near_pairs(m1, m2, quad_order)
+    rel = np.concatenate([m.vertices[m.triangles].reshape(-1, 3) for m in (m1, m2)])
+    rel -= rel[0]
+    # squared extent of both meshes, the unit of ln r: any unit cancels over
+    # closed boundaries, and this one keeps far pairs' logarithms near 0
+    ell2 = np.max(np.einsum("px,px->p", rel, rel))
+    if np.all(np.abs(rel @ m1.normals[0]) <= 1e-12 * math.sqrt(ell2)):
+        return 0.0
+    a, da, ma = _boundary_edges(m1)
+    b, db, mb = _boundary_edges(m2)
+    if len(a) == 0 or len(b) == 0:
+        return 0.0
+    lb = np.linalg.norm(db, axis=1)
+    eb = db / lb[:, None]
 
-    def kernel(x1, n1, x2, n2, d, r2):
-        # -n1.(p1 - p2) / pi and n2.(p1 - p2) as (R, 3) x (3, N) products
-        n1 = n1 / -math.pi
-        c1 = np.einsum("rx,rx->r", n1, x1)[:, None] - n1 @ x2
-        c1 *= x1 @ n2 - np.einsum("xn,xn->n", n2, x2)
-        r2 *= r2
-        c1 /= r2
-        return c1
+    total = 0.0
+    for s in _blocks(len(a), 3 * len(_EDGE_S) * len(b)):
+        # outer point minus inner edge start, (edge1, node, edge2, xyz):
+        # about _BLOCK entries, which bounds every temporary of the block
+        d = (a[s, None, None] - b[None, None]) + _EDGE_S[:, None, None] * da[s, None, None]
+        s0 = np.einsum("iqjx,jx->iqj", d, eb)                   # along edge 2
+        h = np.linalg.norm(d - s0[..., None] * eb, axis=3)      # off its line
 
-    near = _checked_near_pairs(m1, m2, quad_order)
-    far, _ = _far_pair_sum(m1, m2, near, quad_order, kernel)
-    fwd = _contour_pair_sum(m1, m2, near, 7)          # near pairs: both orderings
-    bwd = _contour_pair_sum(m2, m1, near[::-1], 7)
-    return (far + 0.5 * (fwd + bwd)) / m1.area
+        def g(u):   # antiderivative of ln(sqrt(u^2 + h^2) / ell) in u
+            r2 = np.maximum(u * u + h * h, np.finfo(float).tiny)
+            return 0.5 * u * np.log(r2 / ell2) - u + h * np.arctan2(u, h)
+
+        inner = g(lb - s0) - g(-s0)
+        coupling = (ma[s, None] * mb) * (da[s] @ eb.T)          # m1 m2 L1 e1.e2
+        total += float(np.einsum("iqj,q,ij->", inner, _EDGE_W, coupling))
+    return total / (2.0 * math.pi * m1.area)
 
 
 def bb_transmissivity(m1: TriMesh, m2: TriMesh, omega: float,
@@ -460,9 +455,7 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
         return k * k * traces / (8.0 * math.pi**2 * r2)
 
     near = _checked_near_pairs(m1, m2, quad_order)
-    far, r_far = _far_pair_sum(
-        m1, m2, near, quad_order,
-        lambda x1, n1, x2, n2, d, r2: kernel(np.stack(d, axis=-1), r2, n1[:, None], n2.T[None]))
+    far, r_far = _far_pair_sum(m1, m2, near, quad_order, kernel)
     close, r_close = _gauss_pair_sum(m1, m2, near, 7, kernel)    # near pairs, degree 7
     r_min = min(r_far, r_close)
     return DirectResult(value=far + close, r_min=r_min,

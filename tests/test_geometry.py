@@ -239,7 +239,7 @@ def test_view_factor_peak_memory_is_bounded_by_the_block():
 
 
 def test_small_blocks_give_the_same_values(monkeypatch):
-    # near (contour) and far (Gauss) pairs both occur on this pair
+    # near (degree 7) and far pairs of the dyadic route both occur on this pair
     m1, m2 = facing_square_pair(0.5, 4)
     cdist = np.linalg.norm(m1.centroids()[:, None] - m2.centroids()[None], axis=2)
     all_pairs = np.nonzero(cdist < geometry._NEAR_FACTOR
@@ -358,9 +358,9 @@ def test_separation_is_sampled_on_near_pairs_only(monkeypatch):
         return near_pairs(m1, m2)
 
     def counted_far(m1, m2, near, order, kernel):
-        def counted_kernel(x1, n1, x2, n2, d, r2):
-            far_blocks.append((len(x1), x2.shape[1], int(np.isfinite(r2).sum())))
-            return kernel(x1, n1, x2, n2, d, r2)
+        def counted_kernel(rvec, r2, n1, n2):
+            far_blocks.append((r2.shape[0], r2.shape[1], int(np.isfinite(r2).sum())))
+            return kernel(rvec, r2, n1, n2)
         return far_pair_sum(m1, m2, near, order, counted_kernel)
 
     monkeypatch.setattr(geometry, "_gauss_pair_sum", counted_pairs)
@@ -369,15 +369,17 @@ def test_separation_is_sampled_on_near_pairs_only(monkeypatch):
     m1, m2 = facing_square_pair(0.5, 16)
     geometry._check_separation(m1, m2)
     assert sum(sampled) == 0
-    sampled.clear()
-    near_calls.clear()
-    view_factor(m1, m2)
-    assert sum(sampled) == 0 and len(near_calls) == 1
-    # six Gauss points a triangle: 512 x 6 rows, each block against all
-    # 512 x 6 columns, and no entry dropped as near
+    for route in (lambda: view_factor(m1, m2),
+                  lambda: bb_transmissivity_direct(m1, m2, 1e15, quad_order=1)):
+        sampled.clear()
+        near_calls.clear()
+        route()
+        assert sum(sampled) == 0 and len(near_calls) == 1
+    # the dyadic route's far blocks at one point a triangle: 512 rows in
+    # all, each block against all 512 columns, and no entry dropped as near
     rows, cols, finite = zip(*far_blocks)
-    assert sum(rows) == 512 * 6 and set(cols) == {512 * 6}
-    assert sum(finite) == 512 * 512 * 36
+    assert sum(rows) == 512 and set(cols) == {512}
+    assert sum(finite) == 512 * 512
 
 
 def test_non_finite_vertices_are_refused_by_name(tmp_path):
@@ -390,3 +392,100 @@ def test_non_finite_vertices_are_refused_by_name(tmp_path):
     path.write_text("v 0 0 0\nv inf 1 0\nv 1 0 0\nf 1 2 3\n")
     with pytest.raises(MeshError, match=re.escape("inf.obj:2: non-finite vertex 'v inf 1 0'")):
         load_mesh(path)
+
+
+def _perpendicular_viewfactor(h: float, w: float, edge: float) -> float:
+    """Catalog formula from a w x edge rectangle to an h x edge rectangle at
+    right angles to it along their common edge."""
+    H, W = h / edge, w / edge
+    a = (1 + W * W) * (1 + H * H) / (1 + W * W + H * H)
+    b = W * W * (1 + W * W + H * H) / ((1 + W * W) * (W * W + H * H))
+    c = H * H * (1 + H * H + W * W) / ((1 + H * H) * (H * H + W * W))
+    r = math.sqrt(H * H + W * W)
+    return (W * math.atan(1 / W) + H * math.atan(1 / H) - r * math.atan(1 / r)
+            + 0.25 * (math.log(a) + W * W * math.log(b) + H * H * math.log(c))) / (math.pi * W)
+
+
+def _perpendicular_pair(n: int, offset=(0.0, 0.0, 0.0)):
+    """Unit squares in z = 0 (normal +z) and x = 0 (normal +x) sharing an edge."""
+    o = np.asarray(offset, dtype=float)
+    return (rectangle_mesh(o, [1, 0, 0], [0, 1, 0], n, n),
+            rectangle_mesh(o, [0, 1, 0], [0, 0, 1], n, n))
+
+
+@pytest.mark.parametrize("meshes, oracle", [
+    (facing_square_pair(0.5, 16), parallel_rectangle_viewfactor(1.0, 1.0, 0.5)),
+    (_perpendicular_pair(16), _perpendicular_viewfactor(1.0, 1.0, 1.0)),
+], ids=["coaxial", "perpendicular"])
+def test_view_factor_matches_the_catalog_in_both_orderings(meshes, oracle):
+    m1, m2 = meshes
+    f12, f21 = view_factor(m1, m2), view_factor(m2, m1)
+    assert abs(f12 - oracle) <= 1e-11 * oracle
+    assert abs(f21 - oracle) <= 1e-11 * oracle
+    assert abs(m1.area * f12 - m2.area * f21) <= 1e-12 * m1.area * f12
+
+
+def test_view_factor_ignores_the_order_it_validates():
+    m1, m2 = facing_square_pair(1.0, 2)
+    assert len({view_factor(m1, m2, order) for order in TRIANGLE_RULES}) == 1
+
+
+def test_view_factor_is_translation_invariant():
+    # the near-pair split once let rounding decide exact ties here (2.3e-9)
+    here = view_factor(*_perpendicular_pair(8))
+    there = view_factor(*_perpendicular_pair(8, (100.0, -100.0, 100.0)))
+    assert abs(there - here) <= 1e-13 * here
+
+
+def test_view_factor_of_a_closed_mesh_is_zero(tmp_path):
+    path = tmp_path / "sphere.obj"
+    path.write_text(icosphere_obj(radius=0.5, subdivisions=1), encoding="utf-8")
+    sphere = load_mesh(path)
+    other = TriMesh(sphere.vertices + [3.0, 0.5, -1.0], sphere.triangles)
+    square = rectangle_mesh([2, 0, 0], [0, 1, 0], [0, 0, 1], 2, 2)
+    assert view_factor(sphere, other) == 0.0
+    assert view_factor(sphere, square) == 0.0
+    assert view_factor(square, sphere) == 0.0
+
+
+def test_view_factor_keeps_the_signed_sum_under_mixed_winding():
+    # the order-7 triangle-pair sum, before view factors became contour sums
+    m1, m2 = facing_square_pair(1.0, 4)
+    flipped = m1.triangles.copy()
+    flipped[5] = flipped[5, ::-1]
+    mixed = TriMesh(m1.vertices, flipped)
+    value = 0.1868312344980898
+    assert abs(view_factor(mixed, m2) - value) <= 1e-8 * value
+    assert abs(mixed.area * view_factor(mixed, m2) - m2.area * view_factor(m2, mixed)) <= 1e-14
+
+
+def test_near_split_settles_ties_wherever_the_meshes_sit():
+    here, there = _perpendicular_pair(8), _perpendicular_pair(8, (100.0, -100.0, 100.0))
+    near_here, near_there = geometry._near_pairs(*here), geometry._near_pairs(*there)
+    assert near_here[0].size == 2074
+    assert all(np.array_equal(a, b) for a, b in zip(near_here, near_there, strict=True))
+    d_here = bb_transmissivity_direct(*here, 1e15).value
+    d_there = bb_transmissivity_direct(*there, 1e15).value
+    assert abs(d_there - d_here) <= 1e-12 * d_here
+
+
+def test_direct_route_is_the_dyad_closed_form_on_far_single_triangles(rng):
+    # one point a triangle: the value is the kernel at the centroids,
+    # k^2 (Tr[X1 P X2 P] - Tr[X1 C X2 C]) / (8 pi^2 R^2) with the trace
+    # difference -4 (n1.Rhat)(n2.Rhat)
+    omega = 1e15
+    k = omega / C
+    worst = 0.0
+    for _ in range(200):
+        c2 = rng.normal(size=3)
+        c2 *= rng.uniform(8.0, 20.0) / np.linalg.norm(c2)
+        m1 = TriMesh(rng.uniform(-0.5, 0.5, (3, 3)), np.array([[0, 1, 2]]))
+        m2 = TriMesh(c2 + rng.uniform(-0.5, 0.5, (3, 3)), np.array([[0, 1, 2]]))
+        rvec = m1.centroids()[0] - m2.centroids()[0]
+        r2 = rvec @ rvec
+        rhat = rvec / math.sqrt(r2)
+        scale = m1.area * m2.area * k * k / (2 * math.pi**2 * r2)
+        expected = -scale * (m1.normals[0] @ rhat) * (m2.normals[0] @ rhat)
+        value = bb_transmissivity_direct(m1, m2, omega, quad_order=1).value
+        worst = max(worst, abs(value - expected) / scale)
+    assert worst <= 1e-14
