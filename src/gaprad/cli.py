@@ -353,8 +353,9 @@ def parse_config(text: str, base_dir: Path | str = ".",
         if not errors and gap is not None and body1 and body2:
             try:
                 cfg.system = GapSystem(body1, body2, gap, T1, T2)
-            except ValueError as exc:   # a gap too small for the float range
-                errors.append(f"line {raw.get('gap', 'gap')[1]}: {exc}")
+            except ValueError as exc:   # a gap or a T^4 beyond the float range,
+                key = str(exc).split()[0]   # named first in the message
+                errors.append(f"line {raw.get('gap', key)[1]}: {exc}")
         if mode == "heat-flux" and not (T1 or T2):
             errors.append("[gap]: heat-flux mode needs T1 > 0 or T2 > 0")
         if mode == "conductance" and cfg.T is None:

@@ -9,20 +9,20 @@ projector and curl forms, whose phase e^{ikR} cancels in every trace, each
 trace two 3x3 products), exercising the algebra the closed form short-cuts.
 
 Supported geometries are mutually fully visible pairs; occlusion is not
-modeled, matching the free-space limit itself.  A view factor is one sum
-over the two mesh boundaries: Stokes' theorem on both surfaces turns the
-area kernel into a double contour integral of ln r, so interior edges
-cancel and no triangle pair is visited.
+modeled, matching the free-space limit itself.  Both routes first scan the
+triangle centroids in blocks: two centroids within 1e-12 sqrt(mean mesh
+area) refuse the meshes as touching (a sampled proxy for a shared point),
+and pairs closer than three triangle diameters are near.  A view factor is
+then one sum over the two mesh boundaries: Stokes' theorem on both
+surfaces turns the area kernel into a double contour integral of ln r.
 
 The dyadic route uses symmetric triangle rules of configurable degree
-(default 4, six points per triangle) and escalates pairs closer than three
-triangle diameters to the degree-7 rule, staying within its far-field
-regime.  Its far pairs are summed as dense point blocks: the Gauss points
-of a block of mesh-1 triangles against every mesh-2 point, with the
-block's near entries dropped.  Near pairs come as index lists from a
-per-block centroid test, so no array over all triangle pairs is ever
-built; every pairwise loop runs in blocks of about _BLOCK entries, sized
-in one helper, _blocks.
+(default 4, six points per triangle) and the degree-7 rule on near pairs,
+staying within its far-field regime.  One pair sum takes the far pairs as
+dense point blocks (a block of mesh-1 triangles' points against every
+mesh-2 point, near entries dropped), then the gathered near pairs; no
+array over all triangle pairs is built, and every pairwise loop runs in
+blocks of about _BLOCK entries, sized in one helper, _blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .materials import CONSTANTS, _positive_omega, planck_energy
+from .materials import CONSTANTS, _check_temperatures, _positive_omega, planck_energy
 from .quadrature import _WK, _XK, IntegrationSpec, adaptive_integrate
 from .spectral import _outer_edges, auto_window
 
@@ -247,32 +247,40 @@ def _blocks(n: int, per_item: int):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _near_pairs(m1: TriMesh, m2: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+def _near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) index arrays, sorted by i, of the triangle pairs whose centroid
-    distance is under _NEAR_FACTOR larger diameters, one block of m1 at a time."""
+    distance is under _NEAR_FACTOR larger diameters, one block of m1 at a time.
+    Checks quad_order first; refuses the meshes as touching (a proxy for a
+    shared point) when two centroids lie within 1e-12 sqrt(mean mesh area)."""
+    if quad_order not in TRIANGLE_RULES:
+        raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
     c1, c2 = m1.centroids(), m2.centroids()
     d1, d2 = m1.diameters(), m2.diameters()
+    touch = 1e-12 * math.sqrt((m1.area + m2.area) / 2.0)
     found = []
     for s in _blocks(len(c1), len(c2)):
         cdist = np.linalg.norm(c1[s, None, :] - c2[None, :, :], axis=2)
+        if not (cdist.min() > touch):
+            raise ValueError("meshes touch or overlap (vanishing pair distance)")
         i, j = np.nonzero(cdist < _NEAR_FACTOR * np.maximum(d1[s, None], d2[None, :]))
         found.append((i + s.start, j))
     return tuple(map(np.concatenate, zip(*found)))
 
 
-def _far_pair_sum(m1: TriMesh, m2: TriMesh, near, order: int, kernel):
-    """Gauss x Gauss quadrature of kernel over the pairs not in near, in dense
-    point blocks: the points of a block of m1 triangles (rows) against every
-    m2 point (columns); near entries get r2 = inf, which drops them from the
-    sum and from r_min.  kernel(rvec, r2, n1, n2) is as for _gauss_pair_sum,
-    on (R, N) blocks with rvec = p1 - p2.  Returns (total, r_min)."""
+def _pair_sum(m1: TriMesh, m2: TriMesh, near, order: int, kernel):
+    """(total, r_min) of the Gauss x Gauss quadrature of kernel(rvec, r2, n1,
+    n2), pointwise values from rvec = p1 - p2, r2 and normals broadcast to
+    them, over every triangle pair.  Far pairs take the order rule in dense
+    point blocks, a block of m1 triangles' points against every m2 point,
+    whose near entries get r2 = inf (dropped from sum and r_min); the near
+    pairs (ii, jj) are gathered at degree 7."""
     ii, jj = near
     p1, w1 = m1.quad_points(order)
     p2, w2 = m2.quad_points(order)
     k1, k2 = p1.shape[1], p2.shape[1]
     x1, n1 = p1.reshape(-1, 3), np.repeat(m1.normals, k1, axis=0)
     x2, n2 = p2.reshape(-1, 3), np.repeat(m2.normals, k2, axis=0)
-    total, r2_min = 0.0, math.inf
+    far, close, r2_min = 0.0, 0.0, math.inf
     for s in _blocks(len(p1), k1 * len(x2)):
         rows = slice(s.start * k1, s.stop * k1)
         rvec = x1[rows, None, :] - x2[None, :, :]
@@ -283,51 +291,18 @@ def _far_pair_sum(m1: TriMesh, m2: TriMesh, near, order: int, kernel):
         r2.reshape(-1, k1, len(m2.areas), k2)[ii[lo:hi] - s.start, :, jj[lo:hi]] = np.inf
         r2_min = min(r2_min, float(r2.min()))
         vals = kernel(rvec, r2, n1[rows, None], n2[None])
-        total += float(w1[s].ravel() @ vals @ w2.ravel())
-    return total, math.sqrt(r2_min)
-
-
-def _gauss_pair_sum(m1: TriMesh, m2: TriMesh, pairs, order: int, kernel):
-    """Gauss x Gauss quadrature of kernel over the pairs (ii, jj).
-
-    kernel(rvec, r2, n1, n2) maps the (npair, np1, np2, ...) separation data
-    and the normals, broadcast against it, to pointwise values.  Returns
-    (total, r_min) over the evaluated points.
-    """
-    ii, jj = pairs
-    total = 0.0
-    r_min = math.inf
-    p1, w1 = m1.quad_points(order)
-    p2, w2 = m2.quad_points(order)
+        far += float(w1[s].ravel() @ vals @ w2.ravel())
+    p1, w1 = m1.quad_points(7)
+    p2, w2 = m2.quad_points(7)
     for s in _blocks(ii.size, p1.shape[1] * p2.shape[1]):
         bi, bj = ii[s], jj[s]
         rvec = p1[bi][:, :, None, :] - p2[bj][:, None, :, :]
         r2 = np.einsum("abcx,abcx->abc", rvec, rvec)
-        r_min = min(r_min, float(np.sqrt(r2.min())))
+        r2_min = min(r2_min, float(r2.min()))
         ww = w1[bi][:, :, None] * w2[bj][:, None, :]
         vals = kernel(rvec, r2, m1.normals[bi][:, None, None], m2.normals[bj][:, None, None])
-        total += float(np.sum(ww * vals))
-    return total, r_min
-
-
-def _checked_near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int):
-    """Near pairs of two meshes; checks the order, then that they are disjoint."""
-    if quad_order not in TRIANGLE_RULES:
-        raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
-    return _check_separation(m1, m2)
-
-
-def _check_separation(m1: TriMesh, m2: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Reject touching or overlapping meshes by sampled near-pair distance and
-    return the near pairs.  Far-pair points are >= 5/3 diameter apart: this is
-    the all-pairs decision on meshes whose longest edges all exceed
-    6e-13 * sqrt(mean mesh area), and far pairs below that size do not touch."""
-    near = _near_pairs(m1, m2)
-    _, d_min = _gauss_pair_sum(m1, m2, near, 2, lambda *_: 0.0)
-    scale = math.sqrt((m1.area + m2.area) / 2.0)
-    if not (d_min > 1e-12 * scale):
-        raise ValueError("meshes touch or overlap (vanishing pair distance)")
-    return near
+        close += float(np.sum(ww * vals))
+    return far + close, math.sqrt(r2_min)
 
 
 def _boundary_edges(mesh: TriMesh):
@@ -365,7 +340,7 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
     dyadic route's rule).  Both meshes in one plane give exactly 0, and so
     does a closed mesh, which has no boundary.
     """
-    _checked_near_pairs(m1, m2, quad_order)
+    _near_pairs(m1, m2, quad_order)
     rel = np.concatenate([m.vertices[m.triangles].reshape(-1, 3) for m in (m1, m2)])
     rel -= rel[0]
     # squared extent of both meshes, the unit of ln r: any unit cancels over
@@ -398,11 +373,19 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
     return total / (2.0 * math.pi * m1.area)
 
 
+def _k2(omega: float) -> float:
+    """(omega/c)^2, or ValueError naming an omega where it overflows."""
+    w = float(_positive_omega(omega))
+    k2 = (w / _C) * (w / _C)
+    if not math.isfinite(k2):
+        raise ValueError(f"(omega/c)^2 overflows at omega={w!r} rad/s")
+    return k2
+
+
 def bb_transmissivity(m1: TriMesh, m2: TriMesh, omega: float,
                       quad_order: int = 4) -> float:
     """Blackbody transmissivity (omega^2 / 2 pi c^2) A1 F12, dimensionless."""
-    _positive_omega(omega)
-    return omega**2 / (2.0 * math.pi * _C**2) * m1.area * view_factor(m1, m2, quad_order)
+    return _k2(omega) / (2.0 * math.pi) * m1.area * view_factor(m1, m2, quad_order)
 
 
 @dataclass(frozen=True)
@@ -439,8 +422,7 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
     trace two 3x3 products.  Valid at separations large against the
     wavelength only; the result flags violations of R_min * omega / c >= 10.
     """
-    _positive_omega(omega)
-    k = omega / _C
+    k2 = _k2(omega)
 
     def kernel(rvec, r2, n1, n2):
         rhat = rvec / np.sqrt(r2)[..., None]
@@ -452,13 +434,10 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
 
         projector = np.eye(3) - rhat[..., :, None] * rhat[..., None, :]
         traces = pair_trace(projector) - pair_trace(_cross_matrix(rhat))
-        return k * k * traces / (8.0 * math.pi**2 * r2)
+        return k2 * traces / (8.0 * math.pi**2 * r2)
 
-    near = _checked_near_pairs(m1, m2, quad_order)
-    far, r_far = _far_pair_sum(m1, m2, near, quad_order, kernel)
-    close, r_close = _gauss_pair_sum(m1, m2, near, 7, kernel)    # near pairs, degree 7
-    r_min = min(r_far, r_close)
-    return DirectResult(value=far + close, r_min=r_min,
+    value, r_min = _pair_sum(m1, m2, _near_pairs(m1, m2, quad_order), quad_order, kernel)
+    return DirectResult(value=value, r_min=r_min,
                         far_field_ok=bool(r_min * omega / _C >= _FAR_FIELD_MIN))
 
 
@@ -481,8 +460,7 @@ def bb_heat_rate(m1: TriMesh, m2: TriMesh, T1: float, T2: float,
     difference over frequency; the two routes must agree to the quadrature
     tolerance (1e-6 relative at defaults).
     """
-    if not all(T >= 0.0 and math.isfinite(T) for T in (T1, T2)):
-        raise ValueError(f"T1 and T2 must be finite and >= 0, got {T1!r}, {T2!r}")
+    _check_temperatures("T1 and T2 must be finite and >= 0", T1=T1, T2=T2)
     F = view_factor(m1, m2, quad_order)
     a1f = m1.area * F
     closed = a1f * _SIGMA * (T1**4 - T2**4)

@@ -65,6 +65,19 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"non-finite material parameter {name}: {v!r}")
 
 
+def _check_temperatures(message: str, positive: bool = False, **temps: float) -> None:
+    """ValueError(message, got ...) unless every temperature is finite and
+    >= 0 (> 0 if positive); then one naming the first whose T^4, the scale
+    of every blackbody rate, overflows (above about 1.16e77 K)."""
+    if not all((T > 0.0 if positive else T >= 0.0) and math.isfinite(T) for T in temps.values()):
+        raise ValueError(f"{message}, got {', '.join(map(repr, temps.values()))}")
+    for name, T in temps.items():
+        try:
+            T**4
+        except OverflowError:
+            raise ValueError(f"{name} = {T!r} K is too large: T^4 overflows") from None
+
+
 def _require_passive_complex(name: str, z: complex) -> None:
     _require_finite(name, z.real, z.imag)
     if z.imag < 0.0:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CONSTANTS, Tabulated, planck_energy, planck_energy_dT
+from .materials import (CONSTANTS, Tabulated, _check_temperatures, planck_energy,
+                        planck_energy_dT)
 from .quadrature import IntegrationSpec, adaptive_integrate
 from .transmissivity import (NOISE_FRACTION, ChannelBreakdown, GapSystem,
                              energy_transmissivity_pp,
@@ -52,7 +53,12 @@ _OUTER_SEED_PANELS = 32
 
 @dataclass(frozen=True)
 class ScalarResult:
-    """A frequency-integrated observable with its quadrature metadata."""
+    """A frequency-integrated observable with its quadrature metadata.
+
+    error is the sum of the outer panels' error estimates.  It may exceed
+    rtol * |value| while converged is True: the outer test holds each panel,
+    not their sum, to max(rtol * |value|, floor).
+    """
 
     value: float
     error: float
@@ -156,8 +162,7 @@ def conductance(system: GapSystem, T: float,
     Equals the T1, T2 -> T limit of heat_flux / (T1 - T2); for black bodies
     this is 4 sigma T^3.
     """
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValueError(f"conductance needs a finite T > 0, got {T!r}")
+    _check_temperatures("conductance needs a finite T > 0", positive=True, T=T)
     window = _window(system, spec, T)
 
     def weight(w: np.ndarray) -> np.ndarray:
@@ -179,8 +184,8 @@ def neq_pressure(system: GapSystem, source: int, T_source: float,
     """
     if source not in (1, 2):
         raise ValueError(f"source must be 1 or 2, got {source!r}")
-    if not (T_source > 0.0 and math.isfinite(T_source)):
-        raise ValueError(f"neq_pressure needs a finite T_source > 0, got {T_source!r}")
+    _check_temperatures("neq_pressure needs a finite T_source > 0", positive=True,
+                        T_source=T_source)
     window = _window(system, spec, T_source)
 
     def weight(w: np.ndarray) -> np.ndarray:

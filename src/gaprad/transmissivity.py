@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CONSTANTS, _positive_omega
+from .materials import CONSTANTS, _check_temperatures, _positive_omega
 from .planar import LayerStack, Polarization, stack_reflection
 from .quadrature import IntegrationSpec, adaptive_integrate
 
@@ -63,8 +63,7 @@ class GapSystem:
         if not math.isfinite(EVANESCENT_CUTOFF / self.gap * EVANESCENT_CUTOFF / self.gap):
             raise ValueError(f"gap {self.gap!r} m is too small: "
                              "(EVANESCENT_CUTOFF/gap)^2 overflows")
-        if not all(T >= 0.0 and math.isfinite(T) for T in (self.T1, self.T2)):
-            raise ValueError(f"T1 and T2 must be finite and >= 0, got {self.T1!r}, {self.T2!r}")
+        _check_temperatures("T1 and T2 must be finite and >= 0", T1=self.T1, T2=self.T2)
 
     def swapped(self) -> "GapSystem":
         """The same gap seen from the other side (bodies and temperatures)."""

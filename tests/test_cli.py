@@ -524,3 +524,23 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
                    "--out", str(tmp_path / "out")) == 1
     assert "error: branch ceiling is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["T1", "T2"])
+def test_gap_temperature_whose_fourth_power_overflows_is_a_config_error(tmp_path, capsys, key):
+    text = BB_GAP.replace(f"{key} = {dict(T1=400, T2=300)[key]}", f"{key} = 1e78")
+    line = text.splitlines().index(f"{key} = 1e78") + 1
+    assert run_cli(tmp_path, text + "\n[output]\nmode = heat-flux\ndir = out\n") == 2
+    assert config_errors(capsys) == [
+        f"config error: line {line}: {key} = 1e+78 K is too large: T^4 overflows"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_geometry_temperature_whose_fourth_power_overflows_is_one_named_error(tmp_path, capsys):
+    save_obj(rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 1, 1), tmp_path / "sq1.obj")
+    save_obj(rectangle_mesh([0, 0, 1], [0, 1, 0], [1, 0, 0], 1, 1), tmp_path / "sq2.obj")
+    text = ("[geometry]\nmesh1 = sq1.obj\nmesh2 = sq2.obj\nT1 = 1e78\nT2 = 300\n"
+            "[output]\nmode = bb-heat\ndir = out\n")
+    assert run_cli(tmp_path, text) == 1
+    assert capsys.readouterr().err == "error: T1 = 1e+78 K is too large: T^4 overflows\n"
+    assert not (tmp_path / "out").exists()

@@ -247,7 +247,7 @@ def test_small_blocks_give_the_same_values(monkeypatch):
     assert 0 < all_pairs[0].size < cdist.size
     before = (view_factor(m1, m2), bb_transmissivity_direct(m1, m2, 1e15))
     monkeypatch.setattr(geometry, "_BLOCK", 101)   # every loop straddles many blocks
-    near = geometry._near_pairs(m1, m2)
+    near = geometry._near_pairs(m1, m2, 4)
     assert all(np.array_equal(a, b) for a, b in zip(near, all_pairs, strict=True))
     after = (view_factor(m1, m2), bb_transmissivity_direct(m1, m2, 1e15))
     assert abs(after[0] - before[0]) <= 1e-13 * abs(before[0])
@@ -261,7 +261,7 @@ def test_pair_index_arrays_are_blocked_too(monkeypatch):
     all_pairs_mb = 2 * 512**2 * 8 / 1e6
     default = view_factor(m1, m2)
     monkeypatch.setattr(geometry, "_BLOCK", 4096)
-    assert _traced_peak_mb(lambda: geometry._check_separation(m1, m2)) < all_pairs_mb
+    assert _traced_peak_mb(lambda: geometry._near_pairs(m1, m2, 4)) < all_pairs_mb
     blocked = []
     assert _traced_peak_mb(lambda: blocked.append(view_factor(m1, m2))) < all_pairs_mb
     assert abs(blocked[0] - default) <= 1e-13 * default
@@ -307,6 +307,37 @@ def test_blackbody_transmissivities_reject_bad_omega(omega):
             route(m1, m2, omega)
 
 
+@pytest.mark.parametrize("T1, T2, name", [(1e78, 300.0, "T1"), (400.0, 2e77, "T2")])
+def test_bb_heat_rate_refuses_an_overflowing_fourth_power_up_front(monkeypatch, T1, T2, name):
+    def no_view_factor(*args):
+        raise AssertionError("view factor computed before the temperature check")
+
+    m1, m2 = facing_square_pair(1.0, 2)
+    assert math.isfinite(bb_heat_rate(m1, m2, 1e77, 300.0).value)
+    monkeypatch.setattr(geometry, "view_factor", no_view_factor)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} = {max(T1, T2)!r} K is too large: T^4 overflows")):
+        bb_heat_rate(m1, m2, T1, T2)
+
+
+def test_blackbody_routes_agree_where_omega_squared_overflows():
+    # omega^2 overflows above about 1.3e154; (omega/c)^2 only above 4e162
+    m1, m2 = facing_square_pair(1.0, 4)
+    via_f = bb_transmissivity(m1, m2, 1e155, quad_order=7)
+    direct = bb_transmissivity_direct(m1, m2, 1e155, quad_order=7)
+    assert abs(via_f - 1e280 * bb_transmissivity(m1, m2, 1e15)) <= 1e-14 * via_f
+    assert abs(direct.value - via_f) <= 1e-6 * via_f
+
+
+@pytest.mark.parametrize("omega", [5e162, 1e300])
+def test_blackbody_transmissivities_refuse_an_overflowing_wavenumber(omega):
+    m1, m2 = facing_square_pair(1.0, 2)
+    for route in (bb_transmissivity, bb_transmissivity_direct):
+        with pytest.raises(ValueError, match=re.escape(
+                f"(omega/c)^2 overflows at omega={omega!r} rad/s")):
+            route(m1, m2, omega)
+
+
 @pytest.mark.parametrize("nu, nv", [(0, 1), (1, 0), (-2, 3)])
 def test_rectangle_mesh_needs_one_cell_each_way(nu, nv):
     with pytest.raises(ValueError, match=f"nu={nu}, nv={nv}"):
@@ -316,12 +347,40 @@ def test_rectangle_mesh_needs_one_cell_each_way(nu, nv):
 def test_unsupported_order_is_rejected_before_the_separation_scan(monkeypatch):
     def scan(*args):
         raise AssertionError("separation scanned before the order check")
-    monkeypatch.setattr(geometry, "_check_separation", scan)
+    # the near scan starts from the centroids and diameters of both meshes
+    monkeypatch.setattr(TriMesh, "centroids", scan)
+    monkeypatch.setattr(TriMesh, "diameters", scan)
     m1, m2 = facing_square_pair(1.0, 2)
     for route in (lambda: view_factor(m1, m2, quad_order=3),
                   lambda: bb_transmissivity_direct(m1, m2, 1e15, quad_order=3)):
         with pytest.raises(ValueError, match="unsupported quad_order"):
             route()
+
+
+def _crossing_triangles():
+    """An equilateral triangle and a copy turned 60 degrees in its plane and
+    tilted 40 degrees about x: the two cross through their shared centroid."""
+    def turn(axis, degrees):
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        i, j = [k for k in range(3) if k != axis]
+        out = np.eye(3)
+        out[i, i], out[i, j], out[j, i], out[j, j] = c, -s, s, c
+        return out
+
+    tri = np.array([[math.cos(a), math.sin(a), 0.0] for a in np.radians([90, 210, 330])])
+    crossing = tri @ turn(2, 60).T @ turn(0, 40).T
+    return TriMesh(tri, np.array([[0, 1, 2]])), TriMesh(crossing, np.array([[0, 1, 2]]))
+
+
+def test_triangles_crossing_at_their_centroids_are_refused():
+    # a degree-2 sample of near pairs let these through: a view factor of
+    # -0.447 and a dyadic value of -7.7e40 at r_min 2.7e-16
+    m1, m2 = _crossing_triangles()
+    for a, b in [(m1, m2), (m2, m1)]:
+        for route in (lambda: view_factor(a, b),
+                      lambda: bb_transmissivity_direct(a, b, 1e15)):
+            with pytest.raises(ValueError, match="touch or overlap"):
+                route()
 
 
 TILTED = (rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 4, 4),
@@ -345,40 +404,41 @@ def test_direct_route_keeps_its_values(meshes, order, value, r_min):
 
 def test_separation_is_sampled_on_near_pairs_only(monkeypatch):
     # 16 x 16 coaxial squares 0.5 m apart: every pair is far
-    sampled, near_calls, far_blocks = [], [], []
-    gauss_pair_sum, near_pairs = geometry._gauss_pair_sum, geometry._near_pairs
-    far_pair_sum = geometry._far_pair_sum
+    near_calls, far_blocks, quad_points = [], [], []
+    near_pairs, pair_sum = geometry._near_pairs, geometry._pair_sum
+    tri_quad_points = TriMesh.quad_points
 
-    def counted_pairs(m1, m2, pairs, order, kernel):
-        sampled.append(pairs[0].size)
-        return gauss_pair_sum(m1, m2, pairs, order, kernel)
-
-    def counted_near(m1, m2):
+    def counted_near(m1, m2, quad_order):
         near_calls.append(None)
-        return near_pairs(m1, m2)
+        return near_pairs(m1, m2, quad_order)
 
-    def counted_far(m1, m2, near, order, kernel):
+    def counted_sum(m1, m2, near, order, kernel):
         def counted_kernel(rvec, r2, n1, n2):
-            far_blocks.append((r2.shape[0], r2.shape[1], int(np.isfinite(r2).sum())))
+            far_blocks.append((r2.shape, int(np.isfinite(r2).sum())))
             return kernel(rvec, r2, n1, n2)
-        return far_pair_sum(m1, m2, near, order, counted_kernel)
+        return pair_sum(m1, m2, near, order, counted_kernel)
 
-    monkeypatch.setattr(geometry, "_gauss_pair_sum", counted_pairs)
+    def counted_points(mesh, degree):
+        quad_points.append(degree)
+        return tri_quad_points(mesh, degree)
+
     monkeypatch.setattr(geometry, "_near_pairs", counted_near)
-    monkeypatch.setattr(geometry, "_far_pair_sum", counted_far)
+    monkeypatch.setattr(geometry, "_pair_sum", counted_sum)
+    monkeypatch.setattr(TriMesh, "quad_points", counted_points)
     m1, m2 = facing_square_pair(0.5, 16)
-    geometry._check_separation(m1, m2)
-    assert sum(sampled) == 0
-    for route in (lambda: view_factor(m1, m2),
-                  lambda: bb_transmissivity_direct(m1, m2, 1e15, quad_order=1)):
-        sampled.clear()
-        near_calls.clear()
-        route()
-        assert sum(sampled) == 0 and len(near_calls) == 1
+    assert near_pairs(m1, m2, 4)[0].size == 0
+    # one scan a call; the view factor evaluates no quadrature point
+    view_factor(m1, m2)
+    assert len(near_calls) == 1 and quad_points == [] and far_blocks == []
+    near_calls.clear()
+    bb_transmissivity_direct(m1, m2, 1e15, quad_order=1)
+    assert len(near_calls) == 1
     # the dyadic route's far blocks at one point a triangle: 512 rows in
-    # all, each block against all 512 columns, and no entry dropped as near
-    rows, cols, finite = zip(*far_blocks)
-    assert sum(rows) == 512 and set(cols) == {512}
+    # all, each block against all 512 columns, and no entry dropped as near;
+    # with no near pair, every kernel call is a far block
+    shapes, finite = zip(*far_blocks)
+    assert all(len(shape) == 2 and shape[1] == 512 for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == 512
     assert sum(finite) == 512 * 512
 
 
@@ -461,7 +521,7 @@ def test_view_factor_keeps_the_signed_sum_under_mixed_winding():
 
 def test_near_split_settles_ties_wherever_the_meshes_sit():
     here, there = _perpendicular_pair(8), _perpendicular_pair(8, (100.0, -100.0, 100.0))
-    near_here, near_there = geometry._near_pairs(*here), geometry._near_pairs(*there)
+    near_here, near_there = geometry._near_pairs(*here, 4), geometry._near_pairs(*there, 4)
     assert near_here[0].size == 2074
     assert all(np.array_equal(a, b) for a, b in zip(near_here, near_there, strict=True))
     d_here = bb_transmissivity_direct(*here, 1e15).value

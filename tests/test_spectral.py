@@ -1,5 +1,7 @@
 """Frequency-integrated observables against their blackbody closures."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,17 @@ def test_non_finite_temperatures_rejected():
             conductance(SYS_BB, T)
         with pytest.raises(ValueError, match="finite"):
             neq_pressure(SYS_BB, 1, T)
+
+
+def test_temperatures_whose_fourth_power_overflows_are_refused_by_name():
+    # 1e78**4 once raised OverflowError from the flux scale T1^4 - T2^4
+    message = re.escape(" = 1e+78 K is too large: T^4 overflows")
+    with pytest.raises(ValueError, match="^T1" + message):
+        GapSystem(BB, BB, 1e-6, 1e78, 300.0)
+    with pytest.raises(ValueError, match="^T2" + message):
+        GapSystem(BB, BB, 1e-6, 400.0, 1e78)
+    with pytest.raises(ValueError, match="^T" + message):
+        conductance(SYS_BB, 1e78)
+    with pytest.raises(ValueError, match="^T_source" + message):
+        neq_pressure(SYS_BB, 1, 1e78)
+    assert GapSystem(BB, BB, 1e-6, 1e77, 300.0).T1 == 1e77    # 1e308 is a float
