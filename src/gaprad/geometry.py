@@ -6,15 +6,15 @@ geometry: a view factor between two meshes, the transmissivity
 A1 F12 sigma (T1^4 - T2^4).  An independent route assembles the same
 transmissivity patch pair by patch pair from real far-field dyads (the
 projector and curl forms, whose phase e^{ikR} cancels in every trace, each
-trace two 3x3 products), exercising the algebra the closed form short-cuts.
+trace +-2 (n1.Rhat)(n2.Rhat) in closed form), a check on the view factor.
 
 Supported geometries are mutually fully visible pairs; occlusion is not
 modeled, matching the free-space limit itself.  Both routes first scan the
-triangle centroids in blocks: two centroids within 1e-12 sqrt(mean mesh
-area) refuse the meshes as touching (a sampled proxy for a shared point),
-and pairs closer than three triangle diameters are near.  A view factor is
-then one sum over the two mesh boundaries: Stokes' theorem on both
-surfaces turns the area kernel into a double contour integral of ln r.
+triangle centroids on a cell grid: two centroids within 1e-12 sqrt(mean
+mesh area) refuse the meshes as touching (a sampled proxy for a shared
+point), and pairs closer than three triangle diameters are near.  A view
+factor is then one sum over the two mesh boundaries: Stokes' theorem on
+both surfaces turns the area kernel into a double contour integral of ln r.
 
 The dyadic route uses symmetric triangle rules of configurable degree
 (default 4, six points per triangle) and the degree-7 rule on near pairs,
@@ -59,8 +59,7 @@ _FAR_FIELD_MIN = 10.0      # warn when R_min * omega / c drops below this
 _NEAR_FACTOR = 3.0 * (1 + 1e-9)   # centroid distance vs triangle diameter
                                   # escalation; the margin settles exact ties
                                   # of regular meshes wherever they sit
-_BLOCK = 2**15             # point pairs per block of every pairwise loop: one
-                           # (..., 3, 3) dyad of the direct route < 2.5 MB
+_BLOCK = 2**15             # point pairs per block of every pairwise loop
 
 # symmetric triangle rules: degree -> (barycentric points (n,3), weights (n,))
 # weights sum to 1; integral ~= area * sum(w f(p))
@@ -248,23 +247,41 @@ def _blocks(n: int, per_item: int):
 
 
 def _near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) index arrays, sorted by i, of the triangle pairs whose centroid
-    distance is under _NEAR_FACTOR larger diameters, one block of m1 at a time.
-    Checks quad_order first; refuses the meshes as touching (a proxy for a
-    shared point) when two centroids lie within 1e-12 sqrt(mean mesh area)."""
+    """(i, j) index arrays, sorted by (i, j), of the triangle pairs whose
+    centroid distance is under _NEAR_FACTOR larger diameters.  Checks
+    quad_order first; refuses the meshes as touching (a proxy for a shared
+    point) when two centroids lie within 1e-12 sqrt(mean mesh area).  Both
+    tests see only m2 centroids in the 27 grid cells around an m1 centroid."""
     if quad_order not in TRIANGLE_RULES:
         raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
     c1, c2 = m1.centroids(), m2.centroids()
     d1, d2 = m1.diameters(), m2.diameters()
     touch = 1e-12 * math.sqrt((m1.area + m2.area) / 2.0)
+    q = np.concatenate([c1, c2])
+    q -= q.min(axis=0)
+    # cells a hair wider than either reach and at most 2^20 a side, so that
+    # rounding never puts a pair within reach two cells apart and a key packs
+    # three 21-bit cell indices; overflowing coordinates put every centroid
+    # in one cell, an all-pairs scan
+    q /= (1 + 1e-9) * np.max([_NEAR_FACTOR * max(d1.max(), d2.max()), touch, q.max() / 2**20])
+    q = q if np.isfinite(q).all() else np.zeros_like(q)
+    weights = np.array([2**42, 2**21, 1])
+    key1, key2 = np.split((np.floor(q).astype(np.int64) + 1) @ weights, [len(c1)])
+    order = np.argsort(key2)
+    cells = key1[:, None] + (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ weights
+    start = np.searchsorted(key2[order], cells)
+    count = np.searchsorted(key2[order], cells, "right") - start
     found = []
-    for s in _blocks(len(c1), len(c2)):
-        cdist = np.linalg.norm(c1[s, None, :] - c2[None, :, :], axis=2)
-        if not (cdist.min() > touch):
+    for s in _blocks(len(c1), max(1, int(count.sum(axis=1).max()))):
+        n = count[s].ravel()
+        i = np.repeat(np.arange(len(c1))[s], count[s].sum(axis=1))
+        j = order[np.repeat(start[s].ravel() + n - np.cumsum(n), n) + np.arange(n.sum())]
+        cdist = np.linalg.norm(c1[i] - c2[j], axis=1)
+        if not np.all(cdist > touch):
             raise ValueError("meshes touch or overlap (vanishing pair distance)")
-        i, j = np.nonzero(cdist < _NEAR_FACTOR * np.maximum(d1[s, None], d2[None, :]))
-        found.append((i + s.start, j))
-    return tuple(map(np.concatenate, zip(*found)))
+        near = cdist < _NEAR_FACTOR * np.maximum(d1[i], d2[j])
+        found.append(i[near] * len(c2) + j[near])
+    return np.divmod(np.sort(np.concatenate(found)), len(c2))
 
 
 def _pair_sum(m1: TriMesh, m2: TriMesh, near, order: int, kernel):
@@ -395,19 +412,6 @@ class DirectResult:
     far_field_ok: bool        # False flags R_min * omega / c below the guard
 
 
-def _cross_matrix(n: np.ndarray) -> np.ndarray:
-    """[n]_x so that cross_matrix(n) @ G applies n x to the first dyad index."""
-    out = np.zeros(n.shape[:-1] + (3, 3))
-    x, y, z = n[..., 0], n[..., 1], n[..., 2]
-    out[..., 0, 1] = -z
-    out[..., 0, 2] = y
-    out[..., 1, 0] = z
-    out[..., 1, 2] = -x
-    out[..., 2, 0] = -y
-    out[..., 2, 1] = x
-    return out
-
-
 def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
                              quad_order: int = 4) -> DirectResult:
     """Blackbody transmissivity assembled from the far-field free-space dyads.
@@ -418,23 +422,19 @@ def bb_transmissivity_direct(m1: TriMesh, m2: TriMesh, omega: float,
     2 Re Tr[(omega/c)^2 (n1 x Ge)(n2 x Gm)* + (n1 x GM)(n2 x GM)*], which
     must reproduce bb_transmissivity.  The phase cancels against its own
     conjugate, so with the real P = I - Rhat Rhat, C = [Rhat]x and X = [n]x
-    the kernel is k^2 (Tr[X1 P X2 P] - Tr[X1 C X2 C]) / (8 pi^2 R^2), each
-    trace two 3x3 products.  Valid at separations large against the
-    wavelength only; the result flags violations of R_min * omega / c >= 10.
+    the kernel is k^2 (Tr[X1 P X2 P] - Tr[X1 C X2 C]) / (8 pi^2 R^2).  For
+    symmetric M, Tr[X1 M X2 M] = -2 n1.cof(M) n2, and the sign flips for
+    antisymmetric M; cof(P) = cof(C) = Rhat Rhat, so the kernel is
+    -k^2 (n1.R)(n2.R) / (2 pi^2 R^4), taken as ((n1.R)/R^2)((n2.R)/R^2)
+    times -k^2/(2 pi^2), an order in which no factor overflows first.
+    Valid at separations large against the wavelength only; the result
+    flags violations of R_min * omega / c >= 10.
     """
-    k2 = _k2(omega)
+    scale = -_k2(omega) / (2.0 * math.pi**2)
 
     def kernel(rvec, r2, n1, n2):
-        rhat = rvec / np.sqrt(r2)[..., None]
-        x1, x2 = _cross_matrix(n1), _cross_matrix(n2)
-
-        def pair_trace(g):
-            # Tr[(n1 x G)(n2 x G)] per point pair; each dyad lives only here
-            return np.einsum("...ij,...ji->...", x1 @ g, x2 @ g)
-
-        projector = np.eye(3) - rhat[..., :, None] * rhat[..., None, :]
-        traces = pair_trace(projector) - pair_trace(_cross_matrix(rhat))
-        return k2 * traces / (8.0 * math.pi**2 * r2)
+        a1, a2 = (np.einsum("...x,...x->...", rvec, n) / r2 for n in (n1, n2))
+        return a1 * a2 * scale
 
     value, r_min = _pair_sum(m1, m2, _near_pairs(m1, m2, quad_order), quad_order, kernel)
     return DirectResult(value=value, r_min=r_min,

@@ -14,13 +14,13 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _judged_round(monkeypatch, tmp_path, name):
+def _judged_round(monkeypatch, tmp_path, name, seed=0):
     """(failed as (round, op, why), wrong checks, checks, op names) of one round."""
     monkeypatch.syspath_prepend(str(BENCH))
     import run
     import workloads
 
-    wl = workloads.build(name, 0, tmp_path / name)
+    wl = workloads.build(name, seed, tmp_path / name)
     _, _, values, failures = run.run_round(wl.ops)
     checks = wl.check_round(values)
     names = [op for op, _ in wl.ops]
@@ -28,8 +28,10 @@ def _judged_round(monkeypatch, tmp_path, name):
     return failed, wrong, checks, names
 
 
-def test_mesh_round_passes_every_check(monkeypatch, tmp_path):
-    failed, wrong, checks, names = _judged_round(monkeypatch, tmp_path, "mesh")
+@pytest.mark.parametrize("seed", range(5))
+def test_mesh_round_passes_every_check(monkeypatch, tmp_path, seed):
+    # the seed draws the dyadic route's frequency
+    failed, wrong, checks, names = _judged_round(monkeypatch, tmp_path, "mesh", seed)
     assert failed == [] and wrong == []
     assert len(checks) >= len(names)
 

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -241,10 +242,8 @@ def test_view_factor_peak_memory_is_bounded_by_the_block():
 def test_small_blocks_give_the_same_values(monkeypatch):
     # near (degree 7) and far pairs of the dyadic route both occur on this pair
     m1, m2 = facing_square_pair(0.5, 4)
-    cdist = np.linalg.norm(m1.centroids()[:, None] - m2.centroids()[None], axis=2)
-    all_pairs = np.nonzero(cdist < geometry._NEAR_FACTOR
-                           * np.maximum(m1.diameters()[:, None], m2.diameters()[None]))
-    assert 0 < all_pairs[0].size < cdist.size
+    all_pairs = _all_pairs_near(m1, m2)
+    assert 0 < all_pairs[0].size < 32 * 32
     before = (view_factor(m1, m2), bb_transmissivity_direct(m1, m2, 1e15))
     monkeypatch.setattr(geometry, "_BLOCK", 101)   # every loop straddles many blocks
     near = geometry._near_pairs(m1, m2, 4)
@@ -527,6 +526,95 @@ def test_near_split_settles_ties_wherever_the_meshes_sit():
     d_here = bb_transmissivity_direct(*here, 1e15).value
     d_there = bb_transmissivity_direct(*there, 1e15).value
     assert abs(d_there - d_here) <= 1e-12 * d_here
+
+
+def _cross_matrix(n: np.ndarray) -> np.ndarray:
+    """[n]_x so that cross_matrix(n) @ G applies n x to the first dyad index."""
+    out = np.zeros(n.shape[:-1] + (3, 3))
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    out[..., 0, 1] = -z
+    out[..., 0, 2] = y
+    out[..., 1, 0] = z
+    out[..., 1, 2] = -x
+    out[..., 2, 0] = -y
+    out[..., 2, 1] = x
+    return out
+
+
+def test_dyad_traces_are_the_closed_forms_the_direct_route_takes(rng):
+    # the route takes Tr[X1 P X2 P] and Tr[X1 C X2 C] from n1.cof(M) n2
+    n1, n2, rhat = (v / np.linalg.norm(v, axis=1, keepdims=True)
+                    for v in rng.normal(size=(3, 1000, 3)))
+    x1, x2 = _cross_matrix(n1), _cross_matrix(n2)
+    assert np.max(np.abs((x1 @ rhat[..., None])[..., 0] - np.cross(n1, rhat))) <= 1e-15
+    projector = np.eye(3) - rhat[:, :, None] * rhat[:, None, :]
+    cos = np.einsum("px,px->p", n1, rhat) * np.einsum("px,px->p", n2, rhat)
+
+    def pair_trace(g):
+        return np.einsum("pij,pji->p", x1 @ g, x2 @ g)
+
+    assert np.max(np.abs(pair_trace(projector) + 2 * cos)) <= 1e-14
+    assert np.max(np.abs(pair_trace(_cross_matrix(rhat)) - 2 * cos)) <= 1e-14
+
+
+@pytest.mark.parametrize("gap", [3.0, 30.0])
+def test_direct_route_takes_no_overflowing_factor_below_the_wavenumber_limit(gap):
+    # (omega/c)^2 is finite at 4e162; k^2 times the trace once overflowed
+    # at 3 m, and k^2 (n1.R)(n2.R) would at 30 m
+    m1, m2 = facing_square_pair(gap, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        via_f = bb_transmissivity(m1, m2, 4e162)
+        direct = bb_transmissivity_direct(m1, m2, 4e162)
+    assert abs(direct.value - via_f) <= 1e-6 * via_f
+
+
+def _all_pairs_near(m1, m2):
+    """The near lists by comparing every centroid pair, sorted by (i, j)."""
+    cdist = np.linalg.norm(m1.centroids()[:, None] - m2.centroids()[None], axis=2)
+    return np.nonzero(cdist < geometry._NEAR_FACTOR
+                      * np.maximum(m1.diameters()[:, None], m2.diameters()[None]))
+
+
+def _one_big_triangle():
+    """A 16 x 16 unit square and, below it, one triangle 50 diameters wide."""
+    grid = rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 16, 16)
+    big = np.array([[0, 0, -0.3], [50 / 16, 0, -0.3], [0, 50 / 16, -0.3]])
+    tris = np.vstack([grid.triangles, np.arange(3) + len(grid.vertices)])
+    return (TriMesh(np.vstack([grid.vertices, big]), tris),
+            rectangle_mesh([0, 0, 0.6], [0, 1, 0], [1, 0, 0], 12, 12))
+
+
+def _sphere(radius: float) -> TriMesh:
+    """The 320-triangle icosphere of conftest, read from its OBJ text."""
+    rows = [line.split() for line in icosphere_obj(radius, 2).splitlines()]
+    return TriMesh(np.array([row[1:] for row in rows if row[0] == "v"], dtype=float),
+                   np.array([row[1:] for row in rows if row[0] == "f"], dtype=int) - 1)
+
+
+NEAR_CASES = {
+    "coaxial8": facing_square_pair(0.5, 8),
+    "coaxial16": facing_square_pair(0.2, 16),
+    "perpendicular8": _perpendicular_pair(8),
+    "perpendicular16": _perpendicular_pair(16),
+    "tilted": TILTED,
+    "t_junction": (rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 16, 16),
+                   rectangle_mesh([0.5, 0, 0], [0, 1, 0], [0, 0, 1], 8, 8)),
+    "one_big_triangle": _one_big_triangle(),
+    # near pairs cross cell faces every way in both orders
+    "nested_spheres": (_sphere(0.5), _sphere(0.6)),
+}
+
+
+@pytest.mark.parametrize("block", [geometry._BLOCK, 101], ids=["default_block", "small_block"])
+@pytest.mark.parametrize("name", NEAR_CASES)
+def test_grid_scan_finds_the_all_pairs_near_lists(monkeypatch, name, block):
+    m1, m2 = NEAR_CASES[name]
+    monkeypatch.setattr(geometry, "_BLOCK", block)
+    for a, b in [(m1, m2), (m2, m1)]:
+        near, reference = geometry._near_pairs(a, b, 4), _all_pairs_near(a, b)
+        assert reference[0].size > 0
+        assert all(np.array_equal(x, y) for x, y in zip(near, reference, strict=True))
 
 
 def test_direct_route_is_the_dyad_closed_form_on_far_single_triangles(rng):
