@@ -123,8 +123,15 @@ class TriMesh:
         if not np.isfinite(v).all():
             bad = int(np.argmin(np.isfinite(v).all(axis=1)))
             raise MeshError(f"non-finite vertex {bad}: {v[bad].tolist()}")
-        cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
+        # finite vertices far apart can still overflow the edge vectors or
+        # the area; a finite area above _MIN_AREA makes the normal finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+            areas = 0.5 * np.linalg.norm(cross, axis=1)
+        if not np.isfinite(areas).all():
+            bad = int(np.argmin(np.isfinite(areas)))
+            raise MeshError(f"triangle {bad} has a non-finite area and normal: its "
+                            f"vertices {v[t[bad]].tolist()} overflow them")
         if np.any(areas <= _MIN_AREA):
             bad = int(np.argmin(areas))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e} m^2)")

@@ -3,14 +3,22 @@
 One integrator serves every integral in the package: the in-plane
 wavevector integrals of the transmissivities, the frequency integrals and
 the blackbody closure checks.  Each panel carries a 15-point Kronrod value
-and the error estimate given by its difference from the embedded 7-point
-Gauss value.  Each sweep bisects every panel whose error exceeds the
-relative tolerance times the running total (or an absolute floor) and
-evaluates all new panels in one pass, the batched idiom of QUADPACK and
-quad_vec.  Vector integrands (both polarizations) pass the test component
-by component; a batch of integrals (one per frequency) shares each sweep
-while every row converges on its own.  Kronrod nodes are interior, so
-endpoints are never evaluated.
+and QUADPACK's QK15 error estimate (Piessens et al., QUADPACK, Springer
+1983): with resasc = the Kronrod integral of |f - mean f| over the panel,
+its error is resasc * min(1, (200 |K15 - G7| / resasc)^1.5), the raw
+Kronrod-Gauss difference where resasc vanishes.  An integral passes when
+the sum of its panel errors is at most max(rtol * |total|, floor), as in
+QUADPACK's QAG; the floor is an absolute one per integral or the sum of
+per-panel floors.  Each sweep of a failing integral bisects every panel
+whose error exceeds its tolerance over its panel count and evaluates all
+new panels in one pass, the batched idiom of quad_vec.  Vector integrands
+(both polarizations) pass the test component by component; a batch of
+integrals (one per frequency) shares each sweep while every row keeps its
+own seed panels and converges on its own.  Integrands that carry noise of
+their own (the frequency integrals over inner quadratures) may keep the
+older test instead: each panel's bare Kronrod-Gauss difference against the
+whole tolerance.  Kronrod nodes are interior, so endpoints are never
+evaluated.
 """
 
 from __future__ import annotations
@@ -105,9 +113,11 @@ class IntegralResult:
 _PANELS_PER_CALL = 96
 
 
-def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
-    """Kronrod values and Gauss-Kronrod error estimates, (panels, components),
-    and whether f returned one value per abscissa."""
+def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray,
+                 raw_error: bool):
+    """Kronrod values and error estimates, (panels, components), and whether
+    f returned one value per abscissa.  The estimate is QK15's, or with
+    raw_error the bare Kronrod-Gauss difference."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     vals, errs = [], []
@@ -121,26 +131,64 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
         if not finite.all():
             bad = x.reshape(-1, 15)[~finite]
             raise ValueError(f"non-finite integrand value near x={bad[0]!r}")
-        vals.append(half[s, None] * np.einsum("pic,i->pc", fx, _WK))
-        errs.append(np.abs(vals[-1] - half[s, None] * np.einsum("pic,i->pc", fx, _WG)))
+        k15 = np.einsum("pic,i->pc", fx, _WK)
+        raw = np.abs(half[s, None] * (k15 - np.einsum("pic,i->pc", fx, _WG)))
+        vals.append(half[s, None] * k15)
+        if raw_error:
+            errs.append(raw)
+            continue
+        resasc = np.abs(half[s, None]) * np.einsum(
+            "pic,i->pc", np.abs(fx - 0.5 * k15[:, None, :]), _WK)
+        ratio = np.divide(200.0 * raw, resasc, out=np.ones_like(raw), where=resasc > 0.0)
+        errs.append(np.where(resasc > 0.0, resasc * np.minimum(ratio, 1.0) ** 1.5, raw))
     return np.concatenate(vals), np.concatenate(errs), scalar
+
+
+def _seed_panels(a: float, b: float, initial_edges, n_rows: int):
+    """(lo, hi, row, seeds per row) of the seed panels: initial_edges is
+    None, one edge sequence for every row, or one per row of a batch."""
+    if initial_edges is None:
+        per_row = [(a, b)] * n_rows
+    elif len(initial_edges) == 0 or np.ndim(initial_edges[0]) == 0:
+        per_row = [initial_edges] * n_rows
+    elif len(initial_edges) == n_rows:
+        per_row = initial_edges
+    else:
+        raise ValueError(f"need one edge array per row, got {len(initial_edges)} "
+                         f"for {n_rows} rows")
+    # all rows' edges in one array: a row's last edge starts no panel and
+    # its first edge ends none
+    counts = np.array([len(e) for e in per_row])
+    edges = np.concatenate(per_row, dtype=float)
+    ok = edges.ndim == 1 and np.all(counts >= 2)
+    if ok:
+        last = np.cumsum(counts) - 1
+        first = last - (counts - 1)
+        lo, hi = np.delete(edges, last), np.delete(edges, first)
+        ok = np.all(edges[first] == a) and np.all(edges[last] == b) and np.all(hi > lo)
+    if not ok:
+        raise ValueError("initial_edges must increase strictly from a to b")
+    return lo, hi, np.repeat(np.arange(n_rows), counts - 1), counts - 1
 
 
 def adaptive_integrate(f: Callable[..., np.ndarray],
                        a: float, b: float,
                        spec: IntegrationSpec = IntegrationSpec(),
-                       initial_edges: Sequence[float] | None = None,
-                       abs_floor=0.0, batch: int | None = None) -> IntegralResult:
+                       initial_edges: Sequence | None = None,
+                       abs_floor=0.0, batch: int | None = None,
+                       per_panel: bool = False) -> IntegralResult:
     """Integrate f over a finite [a, b], a < b, to the tolerances in spec.
 
     f must accept an ndarray of n abscissae and return n values, or an
-    (n, m) array of m components; it is never called at a or b.  Each
-    sweep bisects every panel on which some component's error exceeds
-    max(rtol * |its running total|, floor) and evaluates the new panels in
+    (n, m) array of m components; it is never called at a or b.  An
+    integral passes when, for every component, the sum of its panel errors
+    is at most max(rtol * |its total|, floor).  Until it does, each sweep
+    bisects every panel on which some failing component's error exceeds
+    that tolerance over the panel count, and evaluates the new panels in
     one pass, in calls of at most 96 panels.  The budget is
     max_subdivisions bisections per component; when it runs short, the
-    panels furthest over their tolerance go first.  initial_edges seeds
-    the panel layout (useful to resolve known scales before adaptivity
+    panels furthest over their share go first.  initial_edges seeds the
+    panel layout (useful to resolve known scales before adaptivity
     starts); it must begin at a and end at b.  On exhaustion the partial
     result is returned with converged=False and the location of the worst
     remaining panel.  value and error are the sums the tolerance test last
@@ -150,15 +198,26 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     callers that know the rounding scale of their integrand (for example a
     transmission numerator built from 1 - |R|^2 cancellations) pass it so
     that a pure-noise integrand converges to its floor instead of burning
-    the whole subdivision budget.
+    the whole subdivision budget.  It may also be a callable
+    abs_floor(lo, hi, row) giving the floor of each panel [lo, hi] of
+    integral row (arrays of panels); the floor of an integral is then the
+    sum over its current panels.
 
-    batch=B >= 1 runs B integrals over the same [a, b] and initial_edges in
-    one sweep loop: f(x, row) gets the integral row[i] of each abscissa x[i],
-    and abs_floor may be a (B,) array.  Each row keeps its own tolerance,
-    budget and convergence, and its sums depend on its own panels only, so
-    it is bitwise the integral done alone.  value and error gain a leading
-    (B,) axis, converged means every row, neval is the total, and rows
-    holds each row's IntegralResult, whose arrays are views of the batch's.
+    batch=B >= 1 runs B integrals over the same [a, b] in one sweep loop:
+    f(x, row) gets the integral row[i] of each abscissa x[i], abs_floor may
+    be a (B,) array, and initial_edges may be one edge array per row (rows
+    need not share a seed count).  Each row keeps its own tolerance, budget
+    and convergence, and its sums depend on its own panels only, so it is
+    bitwise the integral done alone.  value and error gain a leading (B,)
+    axis, converged means every row, neval is the total, and rows holds
+    each row's IntegralResult, whose arrays are views of the batch's.
+
+    per_panel=True keeps the looser test for an integrand that carries
+    noise of its own, as the frequency integrand built from inner
+    quadratures does: each panel's bare Kronrod-Gauss difference is held to
+    max(rtol * |total|, floor) on its own, so the summed error may exceed
+    it.  On such noise the QK15 estimate of a panel shrinks more slowly than
+    the panel, and a summed test bisects on without end.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
@@ -166,58 +225,62 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
         raise ValueError(f"batch must be >= 1, got {batch!r}")
     n_rows = 1 if batch is None else batch
     g = (lambda x, row: f(x)) if batch is None else f
-    floor = np.maximum(spec.abs_floor, np.broadcast_to(abs_floor, (n_rows,)))
-    if initial_edges is None:
-        edges = np.array([a, b], dtype=float)
-    else:
-        edges = np.asarray(initial_edges, dtype=float)
-        if edges[0] != a or edges[-1] != b or np.any(np.diff(edges) <= 0.0):
-            raise ValueError("initial_edges must increase strictly from a to b")
-
-    seeds = len(edges) - 1
-    lo, hi = np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows)
-    row = np.repeat(np.arange(n_rows), seeds)
-    vals, errs, scalar = _eval_panels(g, lo, hi, row)
+    panel_floor = abs_floor if callable(abs_floor) else None
+    floor = np.maximum(spec.abs_floor, np.broadcast_to(0.0 if panel_floor else abs_floor,
+                                                       (n_rows,)))
+    lo, hi, row, seeds = _seed_panels(a, b, initial_edges, n_rows)
+    vals, errs, scalar = _eval_panels(g, lo, hi, row, per_panel)
+    flo = panel_floor(lo, hi, row) if panel_floor else None
     m = vals.shape[1]
     budget = np.full(n_rows, spec.max_subdivisions * m)
     while True:
         # bincount adds each row's panels in their array order, which
         # depends on that row alone
         totals = np.stack([np.bincount(row, vals[:, c], n_rows) for c in range(m)], 1)
-        tol = np.maximum(spec.rtol * np.abs(totals), floor[:, None])
-        # per panel, the largest error/tolerance ratio of a failing component
+        errors = np.stack([np.bincount(row, errs[:, c], n_rows) for c in range(m)], 1)
+        row_floor = floor if flo is None else np.maximum(floor, np.bincount(row, flo, n_rows))
+        tol = np.maximum(spec.rtol * np.abs(totals), row_floor[:, None])
+        # a failing component's share of its tolerance on each panel of its row
+        panels = np.bincount(row, minlength=n_rows)
+        if per_panel:
+            share = tol[row]
+        else:
+            share = np.where(errors > tol, tol / panels[:, None], np.inf)[row]
+        # per panel, the largest error/share ratio of a failing component
         with np.errstate(divide="ignore"):
-            excess = np.divide(errs, tol[row], out=np.zeros_like(errs),
-                               where=errs > tol[row]).max(axis=1)
+            excess = np.divide(errs, share, out=np.zeros_like(errs),
+                               where=errs > share).max(axis=1)
         # rows whose budget is spent keep their failing panels
         split = np.flatnonzero((excess > 0.0) & (budget[row] > 0))
         if len(split) == 0:
             break
-        # within each row, furthest over tolerance first, up to its budget
+        # within each row, furthest over its share first, up to its budget
         split = split[np.lexsort((-excess[split], row[split]))]
         rank = np.arange(len(split)) - np.searchsorted(row[split], row[split])
         split = split[rank < budget[row[split]]]
         srow = row[split]
         budget -= np.bincount(srow, minlength=n_rows)
         mid = 0.5 * (lo[split] + hi[split])
-        v2, e2, _ = _eval_panels(g, np.concatenate([lo[split], mid]),
-                                 np.concatenate([mid, hi[split]]),
-                                 np.concatenate([srow, srow]))
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_row = np.concatenate([srow, srow])
+        v2, e2, _ = _eval_panels(g, new_lo, new_hi, new_row, per_panel)
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
-        lo = np.concatenate([lo[keep], lo[split], mid])
-        hi = np.concatenate([hi[keep], mid, hi[split]])
-        row = np.concatenate([row[keep], srow, srow])
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        row = np.concatenate([row[keep], new_row])
         vals = np.concatenate([vals[keep], v2])
         errs = np.concatenate([errs[keep], e2])
+        if flo is not None:
+            flo = np.concatenate([flo[keep], panel_floor(new_lo, new_hi, new_row)])
 
-    # every row reports the totals its panels were last tested against;
-    # its worst panel is its first, in array order, of largest excess
-    errors = np.stack([np.bincount(row, errs[:, c], n_rows) for c in range(m)], 1)
+    # every row reports the sums its panels were last tested against; its
+    # worst panel is its first, in array order, of largest excess
     order = np.lexsort((-excess, row))
     worst_i = order[np.searchsorted(row[order], np.arange(n_rows))]
     worst = [None if excess[i] == 0.0 else (float(lo[i]), float(hi[i])) for i in worst_i]
-    neval = (30 * np.bincount(row, minlength=n_rows) - 15 * seeds).tolist()
+    neval = (30 * panels - 15 * seeds).tolist()
     if scalar:
         totals, errors = totals[:, 0], errors[:, 0]
     per_row = zip(*(a.tolist() if scalar else a for a in (totals, errors)), worst, neval)

@@ -130,7 +130,7 @@ def _integrate_spectrum(weight, transmissivity, system: GapSystem,
 
     lo, hi = window
     res = adaptive_integrate(f, lo, hi, spec, initial_edges=_outer_edges(lo, hi),
-                             abs_floor=NOISE_FRACTION * noise_scale)
+                             abs_floor=NOISE_FRACTION * noise_scale, per_panel=True)
     return ScalarResult(res.value, res.error, window, res.converged and inner_ok, note,
                         neval=inner_neval, omega_nodes=res.neval)
 

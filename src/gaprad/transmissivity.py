@@ -11,11 +11,17 @@ integrand call evaluates only the factors of the branch its points lie on.
 
 The evanescent branch is integrated in t = |kz_vacuum| * gap, which pins
 the tunneling exponential to unit scale at every gap width; the branch is
-cut off at t = 20 (2t = 40, tail below 5e-18) and seeded with 64
-logarithmically spaced panels so that sharp surface-polariton resonances
-are caught before adaptivity takes over.  The integrable kink at
-krho = w/c is handled by ending/starting the branches exactly there;
-panel nodes are interior so the point itself is never evaluated.
+cut off at t = 20 (2t = 40, tail below 5e-18) and seeded with 24
+logarithmically spaced panels, the propagating branch (in u = krho / k0)
+with 8 even ones.  Each frequency adds an edge at the light line
+krho = k0 sqrt(Re eps mu) of every non-black medium of both bodies that
+falls inside a branch, where the reflections have a kink; the two bodies'
+lines form one set, so a body swap keeps the panels.  Each panel's noise
+floor is 1e-13 of its own share of the Landauer ceiling, and each
+integral must bring the sum of its panel errors within its tolerance
+(see quadrature).  The integrable kink at krho = w/c is handled by
+ending/starting the branches exactly there; panel nodes are interior so
+the point itself is never evaluated.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import CONSTANTS, _check_temperatures, _positive_omega
-from .planar import LayerStack, Polarization, stack_reflection
+from .planar import LayerStack, Polarization, _media_chain, stack_reflection
 from .quadrature import IntegrationSpec, adaptive_integrate
 
 __all__ = [
@@ -167,8 +173,16 @@ def momentum_integrand(r1, r2, krho, omega: float, gap: float,
 NOISE_FRACTION = 1e-13
 
 
-# frequencies per batch of wavevector integrals: bounds the panels in flight
-_OMEGA_GROUP = 32
+# frequencies per batch of wavevector integrals: bounds the panels in flight,
+# about 2100 seed panels (64 rows of about 33)
+_OMEGA_GROUP = 64
+
+# blind seed panels of the two branches, before each frequency's light lines
+# are added: 8 even ones in u = krho / (w/c) and 24 logarithmic ones in t
+_PROP_SEEDS = np.linspace(0.0, 1.0, 9).tolist()
+_EVAN_SEEDS = [0.0, *np.geomspace(1e-6 * EVANESCENT_CUTOFF, EVANESCENT_CUTOFF, 24).tolist()]
+# smallest evanescent light line kept: the Kronrod nodes of [0, t] stay normal floats
+_T_LINE_MIN = 1e3 * np.finfo(float).tiny
 
 
 def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
@@ -182,7 +196,7 @@ def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
     if underflow.any():
         raise ValueError(f"(omega/c)^2 underflows at omega={float(w[underflow][0])!r} rad/s")
     # Landauer-ceiling scales of the two branches (unit integrand over the measure), times
-    # the branch bound of |kz|/w for the momentum kernel: each sets its branch's noise floor
+    # the branch bound of |kz|/w for the momentum kernel: each panel's noise floor is a share
     k0, gap, t_max = w / _C, system.gap, EVANESCENT_CUTOFF
     with np.errstate(over="ignore"):
         scale_prop = k0 * k0 / (4.0 * math.pi)
@@ -196,12 +210,34 @@ def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
                          f"omega={float(w[overflow][0])!r} rad/s")
     out = [bd for i in range(0, len(w), _OMEGA_GROUP)
            for bd in _group(system, w[i:i + _OMEGA_GROUP], integrand, spec,
-                            scale_prop[i:i + _OMEGA_GROUP], scale_evan[i:i + _OMEGA_GROUP])]
+                            scale_prop[i:i + _OMEGA_GROUP], scale_evan[i:i + _OMEGA_GROUP],
+                            momentum)]
     return out if np.ndim(omegas) else out[0]
 
 
+def _seed_edges(bodies, omegas: np.ndarray, gap: float):
+    """Per frequency, the seed edges of both branches: the blind seeds and
+    the light lines k_rho = k0 sqrt(Re eps mu) of every non-black medium of
+    the bodies, as u = k_rho / k0 in (0, 1) on the propagating branch and
+    t = gap sqrt(k_rho^2 - k0^2) in (0, t_max) on the evanescent one.  A
+    line so close to t = 0 that the nodes of [0, t] would underflow is left
+    out.  Few edges per row: merged as Python floats, one sorted set each."""
+    n2 = [np.broadcast_to((eps * mu).real, omegas.shape).tolist()
+          for body in bodies for eps, mu, _ in _media_chain(body, omegas)[1:]]
+    prop, evan = [], []
+    for i, k0 in enumerate((omegas / _C).tolist()):
+        lines = [medium[i] for medium in n2]
+        # gap * k0 stays finite where gap * omega would overflow
+        t = [gap * k0 * math.sqrt(x - 1.0) for x in lines if x > 1.0]
+        prop.append(sorted({*_PROP_SEEDS, *(math.sqrt(x) for x in lines if 0.0 < x < 1.0)}))
+        evan.append(sorted({*_EVAN_SEEDS,
+                            *(v for v in t if _T_LINE_MIN < v < EVANESCENT_CUTOFF)}))
+    return prop, evan
+
+
 def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSpec,
-           scale_prop: np.ndarray, scale_evan: np.ndarray) -> list[ChannelBreakdown]:
+           scale_prop: np.ndarray, scale_evan: np.ndarray,
+           momentum: bool) -> list[ChannelBreakdown]:
     k0 = omegas / _C
     gap = system.gap
     bodies = (system.body1,) if system.body1 == system.body2 else (system.body1, system.body2)
@@ -213,7 +249,7 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
 
     def f_prop(u, row):
         # substitution u = krho / (w/c): krho dkrho = k0 krho du, and every
-        # frequency shares the limits [0, 1] and the seed panels
+        # frequency shares the limits [0, 1] and the blind seed panels
         k0r = k0[row]
         krho = u * k0r
         kzh2 = (k0r - krho) * (k0r + krho)
@@ -230,13 +266,23 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
         return (t / (2.0 * math.pi * gap * gap)
                 * integrand(r1, r2, krho, omegas[row], gap, khz=q)).T
 
+    # each panel's noise floor is NOISE_FRACTION times its own share of its
+    # branch ceiling: the ceiling grows as u^2 and t^2, times t for the
+    # momentum kernel's |kz|/w on the evanescent branch
     t_max = EVANESCENT_CUTOFF
-    res_prop = adaptive_integrate(f_prop, 0.0, 1.0, spec,
-                                  initial_edges=np.linspace(0.0, 1.0, 17),
-                                  abs_floor=NOISE_FRACTION * scale_prop, batch=len(omegas))
-    evan_edges = np.concatenate([[0.0], np.geomspace(1e-6 * t_max, t_max, 64)])
-    res_evan = adaptive_integrate(f_evan, 0.0, t_max, spec, initial_edges=evan_edges,
-                                  abs_floor=NOISE_FRACTION * scale_evan, batch=len(omegas))
+
+    def floor_prop(lo, hi, row):
+        return NOISE_FRACTION * scale_prop[row] * ((hi - lo) * (hi + lo))
+
+    def floor_evan(lo, hi, row):
+        share = (hi - lo) * (hi + lo) / (t_max * t_max)
+        return NOISE_FRACTION * scale_evan[row] * (share * (hi / t_max) if momentum else share)
+
+    prop_edges, evan_edges = _seed_edges(bodies, omegas, gap)
+    res_prop = adaptive_integrate(f_prop, 0.0, 1.0, spec, prop_edges, floor_prop,
+                                  batch=len(omegas))
+    res_evan = adaptive_integrate(f_evan, 0.0, t_max, spec, evan_edges, floor_evan,
+                                  batch=len(omegas))
 
     out = []
     for omega, k0_row, prop, evan in zip(omegas.tolist(), k0.tolist(),

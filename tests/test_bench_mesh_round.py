@@ -38,16 +38,8 @@ def test_mesh_round_passes_every_check(monkeypatch, tmp_path, seed):
 
 @pytest.mark.parametrize("name", ["nearfield", "farfield", "spectrum"])
 def test_round_fails_only_by_known_faults(monkeypatch, tmp_path, name):
+    # the evanescent fault that workloads.KNOWN_FAULTS and SPECTRUM_FAULT
+    # still name no longer shows: no operation of a gap workload fails
     failed, wrong, checks, names = _judged_round(monkeypatch, tmp_path, name)
-    import workloads
-
-    def known_fault(op):
-        if op in workloads.KNOWN_FAULTS:
-            return workloads.KNOWN_FAULTS[op][0]
-        return workloads.SPECTRUM_FAULT[0] if op.startswith("spectrum_") else None
-
-    assert wrong == []
-    for _, op, why in failed:
-        fault = known_fault(op)
-        assert fault is not None and why.startswith(fault + ": "), (op, why)
+    assert failed == [] and wrong == []
     assert len(checks) >= len(names)

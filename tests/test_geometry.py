@@ -453,6 +453,18 @@ def test_non_finite_vertices_are_refused_by_name(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("span", [1e308, 1e153])
+def test_overflowing_triangles_are_refused_by_name(span):
+    # finite vertices whose edge vectors (1e308) or area (1e153) overflow
+    # once built a mesh of area nan or inf after RuntimeWarnings, and
+    # view_factor then blamed touching meshes
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [-span, 0.0, 0.0], [span, 0.0, 0.0], [0.0, span, 0.0]])
+    with pytest.raises(MeshError, match="triangle 1 has a non-finite area and normal: its "
+                                        r"vertices \[\[-1e\+"):
+        TriMesh(vertices, np.array([[0, 1, 2], [3, 4, 5]]))
+
+
 def _perpendicular_viewfactor(h: float, w: float, edge: float) -> float:
     """Catalog formula from a w x edge rectangle to an h x edge rectangle at
     right angles to it along their common edge."""

@@ -122,8 +122,8 @@ SIGNATURES = {
         "ignored_lines: 'int' = 0) -> None",
     'adaptive_integrate':
         "(f: 'Callable[..., np.ndarray]', a: 'float', b: 'float', " + SPEC + ', '
-        "initial_edges: 'Sequence[float] | None' = None, abs_floor=0.0, "
-        "batch: 'int | None' = None) -> 'IntegralResult'",
+        "initial_edges: 'Sequence | None' = None, abs_floor=0.0, "
+        "batch: 'int | None' = None, per_panel: 'bool' = False) -> 'IntegralResult'",
     'auto_window':
         "(T_max: 'float') -> 'tuple[float, float]'",
     'bb_heat_rate':

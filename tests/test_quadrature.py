@@ -140,9 +140,11 @@ def test_swapping_components_swaps_results_bitwise():
         return np.stack([1.0 / (1e-4 + (x - 0.3141) ** 2),
                          1e3 / (1e-6 + (x - 0.7777) ** 2)], axis=1)
 
-    # on these seeds 6 panels miss rtol 1e-12, more than the short budget
-    # of 2 bisections, so the worst-first cut decides which are split
+    # on these seeds 7 panels exceed their share of rtol 1e-12 (the second
+    # call of a generous budget bisects them), more than the short budget of
+    # 2 bisections, so the worst-first cut decides which are split
     edges = np.linspace(0.0, 1.0, 33)
+    assert _first_split(needles, edges, 1e-12) == 7
     for s in (IntegrationSpec(rtol=1e-12, max_subdivisions=1), IntegrationSpec(rtol=1e-10)):
         a = adaptive_integrate(needles, 0.0, 1.0, s, initial_edges=edges)
         b = adaptive_integrate(lambda x: needles(x)[:, ::-1], 0.0, 1.0, s,
@@ -170,13 +172,25 @@ def test_single_component_matches_scalar_call():
         assert column.worst_interval == scalar.worst_interval
 
 
+def _first_split(f, edges, rtol):
+    """Seed panels over their share of the tolerance: the first sweep of a
+    generous budget bisects each of them in the second integrand call."""
+    calls = []
+    adaptive_integrate(lambda x: calls.append(len(x)) or f(x), edges[0], edges[-1],
+                       IntegrationSpec(rtol=rtol, max_subdivisions=100), initial_edges=edges)
+    assert calls[0] == 15 * (len(edges) - 1) and calls[1] % 30 == 0
+    return calls[1] // 30
+
+
 def test_short_budget_bisects_worst_panels_first():
-    # 5 of the 8 seed panels miss rtol 1e-15 on this needle; a budget of 3
-    # bisections is spent on the worst of them in one sweep, then it stops
+    # 5 of the 8 seed panels exceed their share of rtol 1e-15 on this
+    # needle; a budget of 3 bisections is spent on the worst of them in one
+    # sweep, then it stops
     def needle(x):
         return 1.0 / (1e-4 + (x - 0.3141) ** 2)
 
     seeds = np.linspace(0.0, 1.0, 9)
+    assert _first_split(needle, seeds, 1e-15) == 5
     spec = IntegrationSpec(rtol=1e-15, max_subdivisions=3)
     res = adaptive_integrate(needle, 0.0, 1.0, spec, initial_edges=seeds)
     assert not res.converged
@@ -252,3 +266,106 @@ def test_many_panel_oscillation_within_reported_error(rtol):
 def test_window_must_be_positive_and_finite(window):
     with pytest.raises(ValueError, match=r"0 < lo < hi < inf, got window="):
         IntegrationSpec(window=window)
+
+
+def _qk15(f, lo, hi):
+    """K15, G7 and resasc of one panel, from the rule's nodes and weights."""
+    from gaprad.quadrature import _WG, _WK, _XK
+    half = 0.5 * (hi - lo)
+    fx = f(0.5 * (hi + lo) + half * _XK)
+    k15, g7 = half * (_WK @ fx), half * (_WG @ fx)
+    resasc = half * (_WK @ np.abs(fx - k15 / (2.0 * half)))
+    return k15, g7, resasc
+
+
+@pytest.mark.parametrize("f, lo, hi", [(np.exp, 0.0, 1.0), (np.exp, 0.0, 8.0),
+                                       (lambda x: np.sin(40 * x), 0.0, 3.0)])
+def test_panel_error_is_qk15s(f, lo, hi):
+    # one panel, no bisection: the reported error is QUADPACK's estimate,
+    # and per_panel keeps the bare Kronrod-Gauss difference
+    k15, g7, resasc = _qk15(f, lo, hi)
+    spec = IntegrationSpec(max_subdivisions=0)
+    res = adaptive_integrate(f, lo, hi, spec)
+    assert res.value == pytest.approx(k15, rel=1e-15)
+    assert res.error == pytest.approx(
+        resasc * min(1.0, (200.0 * abs(k15 - g7) / resasc) ** 1.5), rel=1e-12)
+    bare = adaptive_integrate(f, lo, hi, spec, per_panel=True)
+    assert bare.value == res.value
+    assert bare.error == pytest.approx(abs(k15 - g7), rel=1e-12)
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-9, 1e-12])
+def test_summed_error_meets_the_tolerance(rtol):
+    # a converged integral holds the sum of its panel errors, not each
+    # panel alone, to rtol * |value|; the per-panel test does not
+    def f(x):
+        return np.exp(-x) * np.cos(60.0 * x)
+
+    edges = np.linspace(0.0, 10.0, 65)
+    res = adaptive_integrate(f, 0.0, 10.0, IntegrationSpec(rtol=rtol), initial_edges=edges)
+    assert res.converged and res.error <= rtol * abs(res.value)
+    exact = (1.0 + math.exp(-10.0) * (60.0 * math.sin(600.0) - math.cos(600.0))) / 3601.0
+    # besides the error, rounding: a few ulps of the integral of |f|, about 0.64
+    assert abs(res.value - exact) <= res.error + 1e-16
+    loose = adaptive_integrate(f, 0.0, 10.0, IntegrationSpec(rtol=rtol), initial_edges=edges,
+                               per_panel=True)
+    assert loose.converged and loose.error > 5.0 * rtol * abs(loose.value)
+
+
+def _ragged_edges(rows):
+    # row r: 3 + r uneven seed panels on [0, 1]
+    return [np.concatenate([[0.0], np.sort(np.random.default_rng(r).uniform(0.05, 0.95, 2 + r)),
+                            [1.0]]) for r in range(rows)]
+
+
+def test_ragged_batch_rows_are_bitwise_their_single_integrals():
+    edges = _ragged_edges(9)
+    spec = IntegrationSpec(rtol=1e-10, max_subdivisions=6)
+    res = adaptive_integrate(_peaks, 0.0, 1.0, spec, initial_edges=edges, batch=9)
+    assert 0 < sum(r.converged for r in res.rows) < 9
+    for r in range(9):
+        alone = adaptive_integrate(lambda x, r=r: _peaks(x, np.full(len(x), r)), 0.0, 1.0,
+                                   spec, initial_edges=edges[r])
+        mine = res.rows[r]
+        assert mine.value.tobytes() == alone.value.tobytes()
+        assert mine.error.tobytes() == alone.error.tobytes()
+        assert (mine.converged, mine.worst_interval, mine.neval) == \
+            (alone.converged, alone.worst_interval, alone.neval)
+    # every seed panel costs 15 points, every bisection 30
+    seeds = adaptive_integrate(_peaks, 0.0, 1.0, IntegrationSpec(max_subdivisions=0),
+                               initial_edges=edges, batch=9)
+    assert [r.neval for r in seeds.rows] == [15 * (3 + r) for r in range(9)]
+
+
+def test_ragged_edges_need_one_array_per_row():
+    with pytest.raises(ValueError, match="need one edge array per row, got 2 for 3 rows"):
+        adaptive_integrate(_never_called, 0.0, 1.0, initial_edges=_ragged_edges(2), batch=3)
+    with pytest.raises(ValueError, match="initial_edges must increase strictly"):
+        adaptive_integrate(_never_called, 0.0, 1.0, batch=2,
+                           initial_edges=[[0.0, 1.0], [0.0, 0.5, 0.5, 1.0]])
+
+
+def test_panel_floors_are_summed_over_the_panels():
+    # a pure-noise integrand: its panel errors pass once the floors of the
+    # panels add up to more than their sum, and no sooner
+    def noise(x):
+        return 1e-12 * np.sin(1e7 * x)
+
+    edges = np.linspace(0.0, 1.0, 17)
+    spec = IntegrationSpec(rtol=1e-12, max_subdivisions=0)
+    err = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges).error
+    seen = []
+
+    def floor(scale):
+        def panel_floor(lo, hi, row):
+            seen.append((lo.copy(), hi.copy(), row.copy()))
+            return scale * err * (hi - lo)
+        return panel_floor
+
+    ok = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges, abs_floor=floor(1.01))
+    assert ok.converged and ok.neval == 15 * 16
+    assert np.array_equal(seen[0][0], edges[:-1]) and np.array_equal(seen[0][1], edges[1:])
+    assert not seen[0][2].any()
+    short = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges,
+                               abs_floor=floor(0.99))
+    assert not short.converged

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
                     IntegrationSpec, LayerStack, Polarization, Tabulated,
                     conductance, energy_integrand, energy_transmissivity_pp,
                     momentum_integrand, momentum_transmissivity_pp,
-                    neq_pressure, stack_reflection)
+                    eval_response, neq_pressure, stack_reflection)
 from conftest import SIC, random_stack
 
 C = CONSTANTS.c
@@ -248,7 +249,7 @@ FILM = LayerStack(GOLD, ((SIC, 100e-9),))
                                            (FILM, momentum_transmissivity_pp)],
                          ids=["sic-energy", "film-momentum"])
 def test_frequency_batch_rows_are_bitwise_single_calls(body1, kernel):
-    # 400 frequencies run in groups of 32, each group in panel chunks of
+    # 400 frequencies run in groups of 64, each group in panel chunks of
     # 96: every group and chunk boundary falls between checked rows
     system = GapSystem(body1, LayerStack(SIC), 50e-9)
     spec = IntegrationSpec(rtol=1e-8)
@@ -270,7 +271,8 @@ def test_frequency_batch_is_reciprocal_under_body_swap():
 
 def test_propagating_warning_names_its_worst_subinterval_in_krho():
     # a far-field gold gap with no refinement budget: the propagating branch
-    # stops at its 16 seed panels, each k0/16 wide in krho
+    # stops at its 8 seed panels, each k0/8 wide in krho (gold's Re eps < 0
+    # adds no light line)
     st = LayerStack(GOLD)
     sys = GapSystem(st, st, 3e-6)
     w = 2e14
@@ -280,16 +282,104 @@ def test_propagating_warning_names_its_worst_subinterval_in_krho():
     assert prop and "worst subinterval" in prop[0]
     lo, hi = map(float, re.search(r"worst subinterval \((.*), (.*)\)", prop[0]).groups())
     assert 0.0 <= lo < hi <= k0 * (1 + 1e-12)
-    assert hi - lo == pytest.approx(k0 / 16, rel=1e-12)
+    assert hi - lo == pytest.approx(k0 / 8, rel=1e-12)
 
 
 def test_breakdown_counts_its_integrand_points():
-    # black bodies converge on the seed panels: 16 propagating and 64
-    # evanescent panels of 15 points each
+    # black bodies converge on the seed panels, and black media add no light
+    # line: 8 propagating and 24 evanescent panels of 15 points each
     sys = GapSystem(BB, BB, 1e-6)
-    assert energy_transmissivity_pp(sys, 1e14).neval == 15 * (16 + 64)
+    assert energy_transmissivity_pp(sys, 1e14).neval == 15 * (8 + 24)
     bds = energy_transmissivity_pp(sys, [1e13, 1e14])
-    assert [bd.neval for bd in bds] == [15 * (16 + 64)] * 2
+    assert [bd.neval for bd in bds] == [15 * (8 + 24)] * 2
+
+
+def _seed_panels(body1, body2, omega=1e14, gap=1e-6):
+    """Seed panels of both branches: with no bisection budget every panel
+    of an integral is a seed panel, 15 points each."""
+    bd = energy_transmissivity_pp(GapSystem(body1, body2, gap), omega,
+                                  IntegrationSpec(max_subdivisions=0))
+    assert bd.neval % 15 == 0
+    return bd.neval // 15
+
+
+def test_light_lines_seed_both_branches():
+    # Re eps = 2.25 puts a light line at t = gap k0 sqrt(1.25) ~ 0.37 on the
+    # evanescent branch, Re eps = 0.36 one at u = 0.6 on the propagating one
+    glass, thin = LayerStack(Constant(2.25 + 0.1j)), LayerStack(Constant(0.36 + 0.1j))
+    assert _seed_panels(BB, BB) == 8 + 24
+    assert _seed_panels(glass, BB) == 8 + 25
+    assert _seed_panels(thin, BB) == 9 + 24
+    # both bodies' lines form one set, the same under a body swap
+    assert _seed_panels(glass, thin) == _seed_panels(thin, glass) == 9 + 25
+    # a film counts, a medium behind a black film does not
+    assert _seed_panels(LayerStack(Black(), ((Constant(2.25 + 0.1j), 1e-7),)), BB) == 8 + 25
+    assert _seed_panels(LayerStack(Constant(2.25 + 0.1j), ((Black(), 1e-7),)), BB) == 8 + 24
+    # one line for a medium on both sides, none on a seed edge (u = 0.5),
+    # beyond the cutoff (t ~ 37) or for Re eps <= 0
+    assert _seed_panels(glass, glass) == 8 + 25
+    assert _seed_panels(LayerStack(Constant(0.25 + 0.1j)), BB) == 8 + 24
+    assert _seed_panels(glass, BB, gap=1e-4) == 8 + 24
+    assert _seed_panels(LayerStack(Constant(-3.0 + 0.1j)), BB) == 8 + 24
+
+
+@pytest.mark.parametrize("eps, gap, omega", [(1 + 1e-12 + 0.1j, 1e-150, 1e-145),
+                                             (2.25 + 0.1j, 1e300, 1e15)])
+def test_light_lines_at_the_edges_of_the_float_range(eps, gap, omega):
+    # gap k0 = 3e-301 puts the line of Re eps = 1 + 1e-12 at t ~ 3e-307,
+    # where the Kronrod nodes of [0, t] round to its ends; at a 1e300 m gap
+    # gap * omega overflows, though gap k0 (3e306) and the line do not
+    st = LayerStack(Constant(eps))
+    bd = energy_transmissivity_pp(GapSystem(st, st, gap), omega,
+                                  IntegrationSpec(max_subdivisions=5))
+    assert math.isfinite(bd.total) and bd.neval >= 15 * (8 + 24)
+
+
+# SiC/SiC 50 nm at rtol 1e-8 on the 400-point log grid 1e13-1e15 rad/s:
+# rows where the evanescent branch once missed its tolerance by up to 2454
+# times, against an independent fixed-rule transfer-matrix quadrature
+# (value, |Q_2N - Q_N|)
+_SIC_ROWS = [
+    (397, energy_transmissivity_pp, "evan_s", 4148660341111.842, 4.9e-4),
+    (114, momentum_transmissivity_pp, "evan_s", 36.59909296646656, 5.7e-14),
+    (378, energy_transmissivity_pp, "evan_s", 2763012889344.3535, 4.9e-4),
+    (388, energy_transmissivity_pp, "evan_s", 3429347639189.7324, 4.9e-4),
+]
+
+
+@pytest.mark.parametrize("row, kernel, channel, ref, ref_err", _SIC_ROWS,
+                         ids=[f"row{r[0]}" for r in _SIC_ROWS])
+def test_evanescent_rows_meet_the_reference(row, kernel, channel, ref, ref_err):
+    # tolerance: rtol, the reference's error and the documented noise floor,
+    # NOISE_FRACTION of the branch ceiling (times 2 t_max/(w gap) for momentum)
+    gap, t_max = 50e-9, gaprad.transmissivity.EVANESCENT_CUTOFF
+    omega = float(np.geomspace(1e13, 1e15, 400)[row])
+    sic = LayerStack(SIC)
+    bd = kernel(GapSystem(sic, sic, gap), omega, IntegrationSpec(rtol=1e-8))
+    ceiling = t_max ** 2 / (4 * math.pi * gap ** 2)
+    if kernel is momentum_transmissivity_pp:
+        ceiling *= 2 * t_max / (omega * gap)
+    assert bd.converged
+    assert abs(getattr(bd, channel) - ref) <= 1e-8 * abs(ref) + ref_err + 1e-13 * ceiling
+
+
+@pytest.mark.parametrize("omega", [1.75e14, 1.786e14, 1.80e14])
+def test_evanescent_p_channel_meets_its_quasi_static_limit(omega):
+    # where the reflections do not depend on krho (krho >> k0 |eps|^1/2, here
+    # at a 1 nm gap inside SiC's Reststrahlen band), with r = (eps-1)/(eps+1),
+    #   T_p = Im r1 Im r2 Im Li2(r1 r2) / Im(r1 r2) / (2 pi gap^2),
+    # from the integral of ln(1/x) / |1 - r1 r2 x|^2 over [0, 1]; the model
+    # error of the limit is of order (k0 gap)^2, and the tolerance is twice that
+    gap = 1e-9
+    eps, _ = eval_response(SIC, omega)
+    r = (eps - 1) / (eps + 1)
+    a = r * r
+    li2 = complex(mpmath.polylog(2, mpmath.mpc(a.real, a.imag)))
+    t_p = r.imag * r.imag * li2.imag / a.imag / (2 * math.pi * gap * gap)
+    sic = LayerStack(SIC)
+    bd = energy_transmissivity_pp(GapSystem(sic, sic, gap), omega, IntegrationSpec(rtol=1e-10))
+    assert bd.converged
+    assert abs(bd.evan_p / t_p - 1.0) <= 2.0 * (omega / C * gap) ** 2
 
 
 def _count_calls(monkeypatch, *names):
