@@ -136,8 +136,9 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
     is applied from the terminal medium up to the vacuum interface.  A black
     terminal (or film) truncates the chain; a bare black half space returns
     exactly zero.  krho may be scalar or ndarray; omega may be an ndarray
-    that broadcasts against it (one frequency per point), every point
-    bitwise its scalar-omega value.
+    that broadcasts against it (one frequency per point, or per row of
+    points), every point bitwise its scalar-omega value.  The media are
+    evaluated at omega's own shape, once per frequency it holds.
 
     pol=None returns both polarizations, shape (2,) + the point shape, s
     first: the s (mu) and p (eps) weights are stacked on a leading axis, so
@@ -150,16 +151,18 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
     medium kz is then sqrt(kz_host_sq + (eps*mu - 1)(w/c)^2), so a vacuum-like
     medium reproduces the host kz exactly.
     """
-    # one frequency per point, so that every point takes the same arithmetic
-    # whether omega came as a scalar or an array
-    omega = np.broadcast_to(omega, np.broadcast_shapes(np.shape(omega), np.shape(krho)))
+    # the media at omega's own shape, once per frequency; a scalar omega
+    # against array krho is an array too, so it rounds as a per-point omega
+    shape = np.broadcast_shapes(np.shape(omega), np.shape(krho))
+    omega = np.reshape(omega, np.shape(omega) or (1,) * len(shape))
     k0 = omega / _C
     if kz_host_sq is None:
         krho_arr = np.asarray(krho, dtype=float)
         kz_host_sq = (k0 - krho_arr) * (k0 + krho_arr)
     chain = _media_chain(stack, omega)
-    kzs = [_branch_sqrt(kz_host_sq + (e * m - 1.0) * k0 * k0) for e, m, _ in chain]
-    weights = [np.reshape([m, e], (2,) + (1,) * (omega.ndim - np.ndim(m)) + np.shape(m))
+    kzs = [_branch_sqrt(kz_host_sq),   # the vacuum host's (eps mu - 1)(w/c)^2 is 0
+           *(_branch_sqrt(kz_host_sq + (e * m - 1.0) * k0 * k0) for e, m, _ in chain[1:])]
+    weights = [np.reshape([m, e], (2,) + (1,) * (len(shape) - np.ndim(m)) + np.shape(m))
                for e, m, _ in chain]
 
     n = len(chain)

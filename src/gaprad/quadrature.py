@@ -13,12 +13,12 @@ per-panel floors.  Each sweep of a failing integral bisects every panel
 whose error exceeds its tolerance over its panel count and evaluates all
 new panels in one pass, the batched idiom of quad_vec.  Vector integrands
 (both polarizations) pass the test component by component; a batch of
-integrals (one per frequency) shares each sweep while every row keeps its
-own seed panels and converges on its own.  Integrands that carry noise of
-their own (the frequency integrals over inner quadratures) may keep the
-older test instead: each panel's bare Kronrod-Gauss difference against the
-whole tolerance.  Kronrod nodes are interior, so endpoints are never
-evaluated.
+integrals (one per frequency) shares each sweep, in calls of whole panels,
+while every row keeps its own seed panels and converges on its own.
+Integrands that carry noise of their own (the frequency integrals over
+inner quadratures) may keep the older test instead: each panel's bare
+Kronrod-Gauss difference against the whole tolerance.  Kronrod nodes are
+interior, so endpoints are never evaluated.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ _XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])          # 15 ascending n
 _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:15:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])   # Gauss weights on shared nodes
+_NODES = len(_XK)   # abscissae per panel
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,12 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray,
     for i in range(0, len(lo), _PANELS_PER_CALL):
         s = slice(i, i + _PANELS_PER_CALL)
         x = (mid[s, None] + half[s, None] * _XK[None, :]).ravel()
-        fx = np.asarray(f(x, np.repeat(row[s], 15)), dtype=float)
+        fx = np.asarray(f(x, np.repeat(row[s], _NODES)), dtype=float)
         scalar = fx.ndim == 1
-        fx = fx.reshape(len(x) // 15, 15, -1)
+        fx = fx.reshape(len(x) // _NODES, _NODES, -1)
         finite = np.isfinite(fx).all(axis=2)
         if not finite.all():
-            bad = x.reshape(-1, 15)[~finite]
+            bad = x.reshape(-1, _NODES)[~finite]
             raise ValueError(f"non-finite integrand value near x={bad[0]!r}")
         k15 = np.einsum("pic,i->pc", fx, _WK)
         raw = np.abs(half[s, None] * (k15 - np.einsum("pic,i->pc", fx, _WG)))
@@ -204,9 +205,11 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     sum over its current panels.
 
     batch=B >= 1 runs B integrals over the same [a, b] in one sweep loop:
-    f(x, row) gets the integral row[i] of each abscissa x[i], abs_floor may
-    be a (B,) array, and initial_edges may be one edge array per row (rows
-    need not share a seed count).  Each row keeps its own tolerance, budget
+    f(x, row) gets the integral row[i] of each abscissa x[i], in whole
+    panels: len(x) is a multiple of 15 and row is constant over each run of
+    15 abscissae, so f may view them as (panels, 15).  abs_floor may be a
+    (B,) array, and initial_edges may be one edge array per row (rows need
+    not share a seed count).  Each row keeps its own tolerance, budget
     and convergence, and its sums depend on its own panels only, so it is
     bitwise the integral done alone.  value and error gain a leading (B,)
     axis, converged means every row, neval is the total, and rows holds

@@ -3,9 +3,9 @@
 All three scalar observables are Bose-weighted frequency integrals of a
 gap transmissivity, taken over an automatic window
 [1e-4, 60] * k_b T / hbar (outside which the thermal weight is negligible)
-unless the integration spec carries an explicit window.  The inner
-wavevector quadrature runs 10x tighter than the outer frequency tolerance
-so inner noise cannot defeat outer convergence.
+unless the integration spec carries an explicit window, seeded with 12
+log-spaced panels.  The inner wavevector quadrature runs 10x tighter than
+the outer frequency tolerance so inner noise cannot defeat outer convergence.
 
 The photon pressure integral deliberately uses the thermal part of the
 Planck weight only: the zero-point half quantum belongs to the equilibrium
@@ -48,7 +48,7 @@ ZERO_POINT_NOTE = ("thermal part only; zero-point (equilibrium Casimir) "
 
 _DEFAULT_SPEC = IntegrationSpec()
 _INNER_FACTOR = 10.0
-_OUTER_SEED_PANELS = 32
+_OUTER_SEED_PANELS = 12
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,10 @@ def auto_window(T_max: float) -> tuple[float, float]:
 
 
 def _outer_edges(lo: float, hi: float) -> np.ndarray:
-    """Log-spaced seed panels of every Bose-weighted frequency integral."""
-    return np.geomspace(lo, hi, _OUTER_SEED_PANELS + 1)
+    """Log-spaced seed edges of every frequency integral, sorted, inside the window and
+    without repeats, which np.geomspace does not ensure for a window a few ulps wide."""
+    edges = np.sort(np.clip(np.geomspace(lo, hi, _OUTER_SEED_PANELS + 1), lo, hi))
+    return edges[np.diff(edges, prepend=-np.inf) > 0.0]   # np.unique would import numpy.ma
 
 
 class TableRangeError(ValueError):

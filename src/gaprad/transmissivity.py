@@ -33,7 +33,7 @@ import numpy as np
 
 from .materials import CONSTANTS, _check_temperatures, _positive_omega
 from .planar import LayerStack, Polarization, _media_chain, stack_reflection
-from .quadrature import IntegrationSpec, adaptive_integrate
+from .quadrature import _NODES, IntegrationSpec, adaptive_integrate
 
 __all__ = [
     "GapSystem",
@@ -250,21 +250,23 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
     def f_prop(u, row):
         # substitution u = krho / (w/c): krho dkrho = k0 krho du, and every
         # frequency shares the limits [0, 1] and the blind seed panels
+        u, row = u.reshape(-1, _NODES), row[::_NODES, None]   # whole panels, one omega each
         k0r = k0[row]
         krho = u * k0r
         kzh2 = (k0r - krho) * (k0r + krho)
         r1, r2 = reflections(row, krho, kzh2)
         return (k0r * krho / (2.0 * math.pi)
-                * integrand(r1, r2, krho, omegas[row], gap, khz=np.sqrt(kzh2))).T
+                * integrand(r1, r2, krho, omegas[row], gap, khz=np.sqrt(kzh2))).reshape(2, -1).T
 
     def f_evan(t, row):
         # substitution t = |kz| * gap: krho dkrho = t dt / gap^2, and the
         # decay constant t/gap is exact even where krho rounds to w/c
+        t, row = t.reshape(-1, _NODES), row[::_NODES, None]
         q = t / gap
         krho = np.hypot(k0[row], q)
         r1, r2 = reflections(row, krho, -q * q)
         return (t / (2.0 * math.pi * gap * gap)
-                * integrand(r1, r2, krho, omegas[row], gap, khz=q)).T
+                * integrand(r1, r2, krho, omegas[row], gap, khz=q)).reshape(2, -1).T
 
     # each panel's noise floor is NOISE_FRACTION times its own share of its
     # branch ceiling: the ceiling grows as u^2 and t^2, times t for the

@@ -369,3 +369,21 @@ def test_panel_floors_are_summed_over_the_panels():
     short = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges,
                                abs_floor=floor(0.99))
     assert not short.converged
+
+
+def test_batch_integrand_receives_whole_panels():
+    # the gap kernel views each call as (panels, 15) with one row per panel
+    calls = []
+
+    def f(x, row):
+        calls.append((x.copy(), row.copy()))
+        return _peaks(x, row)
+
+    res = adaptive_integrate(f, 0.0, 1.0, IntegrationSpec(rtol=1e-10),
+                             initial_edges=_ragged_edges(9), batch=9)
+    assert res.converged and len(calls) > 2 and max(len(x) for x, _ in calls) <= 96 * 15
+    for x, row in calls:
+        assert len(x) % 15 == 0
+        panels, rows = x.reshape(-1, 15), row.reshape(-1, 15)
+        assert (rows == rows[:, :1]).all()
+        assert (np.diff(panels, axis=1) > 0.0).all()

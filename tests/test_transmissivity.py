@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import gaprad.planar
 import gaprad.transmissivity
 from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
                     IntegrationSpec, LayerStack, Polarization, Tabulated,
@@ -423,6 +424,31 @@ def test_shared_reflection_is_bitwise_the_two_reflection_path(monkeypatch):
     apart = [[_bits(bd) for bd in kernel(system, omegas, spec)] for kernel in kernels]
     assert counts["stack_reflection"] > 2 * counts["energy_integrand"] > 0
     assert apart == shared
+
+
+@pytest.mark.parametrize("body", [LayerStack(SIC), FILM], ids=["bulk", "film"])
+def test_media_are_evaluated_once_per_panel(monkeypatch, rng, body):
+    # one frequency per panel of 15 abscissae, as the gap kernel passes them,
+    # is bitwise one frequency per point
+    omegas = np.geomspace(1e13, 1e15, 8)[:, None]
+    krho = rng.uniform(0.0, 3.0, (8, 15)) * omegas / C
+    per_point = np.broadcast_to(omegas, krho.shape)
+    for host in (None, (omegas / C - krho) * (omegas / C + krho)):
+        for pol in (None, S, P):
+            panels = stack_reflection(body, pol, omegas, krho, host)
+            assert panels.tobytes() == stack_reflection(body, pol, per_point, krho,
+                                                        host).tobytes()
+    # each integrand call holds at most 96 panels, so at most 96 frequencies
+    sizes = []
+
+    def counted(material, omega, _fn=gaprad.planar.eval_response):
+        sizes.append(np.size(omega))
+        return _fn(material, omega)
+
+    monkeypatch.setattr(gaprad.planar, "eval_response", counted)
+    energy_transmissivity_pp(GapSystem(body, LayerStack(SIC), 50e-9),
+                             np.geomspace(1e13, 1e15, 100), IntegrationSpec(rtol=1e-6))
+    assert sizes and max(sizes) <= 96
 
 
 def test_tabulated_bodies_share_a_reflection_only_when_identical(monkeypatch):
