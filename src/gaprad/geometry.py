@@ -12,9 +12,9 @@ Supported geometries are mutually fully visible pairs; occlusion is not
 modeled, matching the free-space limit itself.  Both routes first scan the
 triangle centroids on a cell grid: two centroids within 1e-12 sqrt(mean
 mesh area) refuse the meshes as touching (a sampled proxy for a shared
-point), and pairs closer than three triangle diameters are near.  A view
-factor is then one sum over the two mesh boundaries: Stokes' theorem on
-both surfaces turns the area kernel into a double contour integral of ln r.
+point), and pairs closer than three triangle diameters are near.  By
+Stokes' theorem on both surfaces, a view factor is then a double contour
+integral of ln r over the mesh boundaries' runs of collinear edges.
 
 The dyadic route uses symmetric triangle rules of configurable degree
 (default 4, six points per triangle) and the degree-7 rule on near pairs,
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import CONSTANTS, _check_temperatures, _positive_omega, planck_energy
-from .quadrature import _WK, _XK, IntegrationSpec, adaptive_integrate
+from .quadrature import IntegrationSpec, adaptive_integrate
 from .spectral import _outer_edges, auto_window
 
 __all__ = [
@@ -135,11 +135,9 @@ class TriMesh:
         if np.any(areas <= _MIN_AREA):
             bad = int(np.argmin(areas))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e} m^2)")
-        normals = cross / (2.0 * areas[:, None])
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "areas", areas)
+        for name, value in zip(("vertices", "triangles", "normals", "areas"),
+                               (v, t, cross / (2.0 * areas[:, None]), areas)):
+            object.__setattr__(self, name, value)
 
     @property
     def area(self) -> float:
@@ -152,19 +150,13 @@ class TriMesh:
     def diameters(self) -> np.ndarray:
         """Longest edge of each triangle."""
         v, t = self.vertices, self.triangles
-        e0 = np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
-        e1 = np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
-        e2 = np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
-        return np.max(np.stack([e0, e1, e2]), axis=0)
+        return np.linalg.norm(v[np.roll(t, -1, axis=1)] - v[t], axis=2).max(axis=1)
 
     def quad_points(self, degree: int):
         """(points (nt, np, 3), weights (nt, np)) with areas absorbed."""
         bary, w = TRIANGLE_RULES[degree]
-        v, t = self.vertices, self.triangles
-        corners = v[t]                          # (nt, 3, 3)
-        pts = np.einsum("pk,tkx->tpx", bary, corners)
-        wts = self.areas[:, None] * w[None, :]
-        return pts, wts
+        corners = self.vertices[self.triangles]     # (nt, 3, 3)
+        return np.einsum("pk,tkx->tpx", bary, corners), self.areas[:, None] * w[None, :]
 
 
 def load_mesh(path) -> TriMesh:
@@ -179,12 +171,8 @@ def load_mesh(path) -> TriMesh:
     ignored = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                ignored += 1
-                continue
-            tag = parts[0]
-            if tag == "v":
+            parts = raw.split() or [""]   # blank lines are ignored with the rest
+            if parts[0] == "v":
                 if len(parts) != 4:
                     raise MeshError(f"{path}:{lineno}: malformed vertex line {raw.rstrip()!r}")
                 try:
@@ -193,7 +181,7 @@ def load_mesh(path) -> TriMesh:
                     raise MeshError(f"{path}:{lineno}: malformed vertex line: {exc}") from None
                 if not all(map(math.isfinite, vertices[-1])):
                     raise MeshError(f"{path}:{lineno}: non-finite vertex {raw.rstrip()!r}")
-            elif tag == "f":
+            elif parts[0] == "f":
                 if len(parts) != 4:
                     raise MeshError(f"{path}:{lineno}: face must have exactly 3 indices")
                 try:
@@ -215,11 +203,8 @@ def load_mesh(path) -> TriMesh:
 
 def save_obj(mesh: TriMesh, path) -> None:
     """Write a mesh in the OBJ subset that load_mesh reads back."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -231,20 +216,14 @@ def rectangle_mesh(origin, edge_u, edge_v, nu: int = 1, nv: int = 1) -> TriMesh:
     origin = np.asarray(origin, dtype=float)
     eu = np.asarray(edge_u, dtype=float)
     ev = np.asarray(edge_v, dtype=float)
-    verts = []
-    for j in range(nv + 1):
-        for i in range(nu + 1):
-            verts.append(origin + eu * (i / nu) + ev * (j / nv))
-    tris = []
-    for j in range(nv):
-        for i in range(nu):
-            a = j * (nu + 1) + i
-            b = a + 1
-            c = a + nu + 1
-            d = c + 1
-            tris.append([a, b, d])
-            tris.append([a, d, c])
-    return TriMesh(np.array(verts), np.array(tris))
+    # vertex (i, j) at origin + eu i/nu + ev j/nv, numbered row by row in j
+    u, w = np.meshgrid(np.arange(nu + 1) / nu, np.arange(nv + 1) / nv)
+    verts = origin + eu * u.reshape(-1, 1) + ev * w.reshape(-1, 1)
+    # cell corners a (i, j), b (i+1, j), c (i, j+1), d (i+1, j+1) give the
+    # triangles abd and adc
+    a = (np.arange(nv)[:, None] * (nu + 1) + np.arange(nu)).ravel()
+    tris = np.stack([a, a + 1, a + nu + 2, a, a + nu + 2, a + nu + 1], axis=1)
+    return TriMesh(verts, tris.reshape(-1, 3))
 
 
 def _blocks(n: int, per_item: int):
@@ -330,24 +309,35 @@ def _pair_sum(m1: TriMesh, m2: TriMesh, near, order: int, kernel):
 
 
 def _boundary_edges(mesh: TriMesh):
-    """(starts, vectors, multiplicities) of the directed edges with nonzero
-    net count: an edge met once each way is interior and cancels, so mixed
-    winding leaves each edge the multiplicity its signed faces give it."""
-    t, nv = mesh.triangles, len(mesh.vertices)
+    """(starts, vectors, multiplicities) of the boundary runs, sorted so that
+    vertex numbering does not change them.  A directed edge that more faces
+    run along than against is on the boundary, the excess its multiplicity
+    (an interior edge cancels; mixed winding keeps the signed count), and a
+    run chains parallel ones through vertices with one boundary edge in and
+    one out."""
+    t, v = mesh.triangles, mesh.vertices
     a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
-    keys, inv = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
-    net = np.bincount(inv.ravel(), np.where(a < b, 1.0, -1.0), len(keys))
-    lo, hi = np.divmod(keys[net != 0], nv)
-    return mesh.vertices[lo], mesh.vertices[hi] - mesh.vertices[lo], net[net != 0]
+    # net count of each directed edge: a face counts +1 along, -1 against
+    keys, inv = np.unique(np.concatenate([a * len(v) + b, b * len(v) + a]), return_inverse=True)
+    net = np.bincount(inv.ravel(), np.repeat([1.0, -1.0], len(a)), len(keys))
+    src, dst = np.divmod(keys[net > 0], len(v))
+    unit = (v[dst] - v[src]) / np.linalg.norm(v[dst] - v[src], axis=1)[:, None]
+    # boundary edges form cycles, so an end on two of them has one edge in
+    # and one out, of equal multiplicity; nxt[e] is an edge out of e's end
+    nxt = np.argsort(src)[np.searchsorted(np.sort(src), dst)]
+    joins = ((np.bincount(np.concatenate([src, dst]), minlength=len(v))[dst] == 2)
+             & (np.linalg.norm(unit[nxt] - unit, axis=1) <= 1e-12))
+    last = heads = np.flatnonzero(np.bincount(nxt[joins], minlength=len(src)) == 0)
+    while joins[last].any():
+        last = np.where(joins[last], nxt[last], last)
+    starts, vectors = v[src[heads]], v[dst[last]] - v[src[heads]]
+    order = np.lexsort(np.hstack([starts, vectors]).T[::-1])
+    return starts[order], vectors[order], net[net > 0][heads][order]
 
 
-# outer rule of the boundary sum on [0, 1]: the 15 Kronrod nodes on each
-# half, mapped through s = 3 tau^2 - 2 tau^3 to grade them toward the half's
-# ends, where a shared edge or corner puts the log singularity
-_TAU = (1.0 + _XK) / 2.0
-_EDGE_S = np.concatenate([0.5 * (3.0 - 2.0 * _TAU) * _TAU**2,
-                          0.5 + 0.5 * (3.0 - 2.0 * _TAU) * _TAU**2])
-_EDGE_W = np.tile(1.5 * _WK * _TAU * (1.0 - _TAU), 2)
+# the run integrals of the boundary sum cancel to F12, so each takes as its
+# absolute floor its share of 1e-15: A1 F12 to about 1e-15 A1
+_BOUNDARY_SPEC = IntegrationSpec(rtol=1e-13)
 
 
 def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
@@ -357,12 +347,13 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
     point on mesh 2 toward the point on mesh 1, is integrated by Stokes'
     theorem on both surfaces: A1 F12 = (1/2 pi) oint oint ln r dr1.dr2 over
     the mesh boundaries, where interior edges cancel (Sparrow, J. Heat
-    Transfer 85, 81, 1963).  The inner edge integral is in closed form; the
-    outer one takes the graded Kronrod rule on every boundary edge of mesh 1.
-    Reciprocity A1 F12 = A2 F21 holds to the outer rule's accuracy.
-    quad_order is validated but does not change the value (it sets the
-    dyadic route's rule).  Both meshes in one plane give exactly 0, and so
-    does a closed mesh, which has no boundary.
+    Transfer 85, 81, 1963); collinear boundary edges merge into runs.  The
+    inner run integral is in closed form, the outer one the package's
+    adaptive integral, one per run of mesh 1, to 1e-13 relative or 1e-15
+    absolute; reciprocity A1 F12 = A2 F21 holds to that tolerance, and an
+    unconverged integral raises ValueError.  quad_order is validated but
+    does not change the value (it sets the dyadic route's rule).  Both
+    meshes in one plane give exactly 0, and so does a closed mesh.
     """
     _near_pairs(m1, m2, quad_order)
     rel = np.concatenate([m.vertices[m.triangles].reshape(-1, 3) for m in (m1, m2)])
@@ -370,31 +361,38 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
     # squared extent of both meshes, the unit of ln r: any unit cancels over
     # closed boundaries, and this one keeps far pairs' logarithms near 0
     ell2 = np.max(np.einsum("px,px->p", rel, rel))
-    if np.all(np.abs(rel @ m1.normals[0]) <= 1e-12 * math.sqrt(ell2)):
-        return 0.0
     a, da, ma = _boundary_edges(m1)
     b, db, mb = _boundary_edges(m2)
-    if len(a) == 0 or len(b) == 0:
+    if np.all(np.abs(rel @ m1.normals[0]) <= 1e-12 * math.sqrt(ell2)) or not (len(a) and len(b)):
         return 0.0
     lb = np.linalg.norm(db, axis=1)
     eb = db / lb[:, None]
+    coupling = (ma[:, None] * mb) * (da @ eb.T) / (2.0 * math.pi * m1.area)   # m1 m2 L1 e1.e2
 
-    total = 0.0
-    for s in _blocks(len(a), 3 * len(_EDGE_S) * len(b)):
-        # outer point minus inner edge start, (edge1, node, edge2, xyz):
-        # about _BLOCK entries, which bounds every temporary of the block
-        d = (a[s, None, None] - b[None, None]) + _EDGE_S[:, None, None] * da[s, None, None]
-        s0 = np.einsum("iqjx,jx->iqj", d, eb)                   # along edge 2
-        h = np.linalg.norm(d - s0[..., None] * eb, axis=3)      # off its line
+    def g(u, h):   # antiderivative of ln(sqrt(u^2 + h^2) / ell) in u
+        r2 = np.maximum(u * u + h * h, np.finfo(float).tiny)
+        return 0.5 * u * np.log(r2 / ell2) - u + h * np.arctan2(u, h)
 
-        def g(u):   # antiderivative of ln(sqrt(u^2 + h^2) / ell) in u
-            r2 = np.maximum(u * u + h * h, np.finfo(float).tiny)
-            return 0.5 * u * np.log(r2 / ell2) - u + h * np.arctan2(u, h)
+    def f(tau, row):
+        # s = 3 tau^2 - 2 tau^3 grades the nodes toward the run's ends, where
+        # a shared edge or corner puts the log singularity
+        s = (3.0 - 2.0 * tau) * tau * tau
+        out = np.zeros(len(tau))
+        for j in _blocks(len(b), 3 * len(tau)):
+            # outer point minus inner run start, (node, run 2, xyz): about
+            # _BLOCK entries, which bounds every temporary of the block
+            d = (a[row, None] - b[None, j]) + s[:, None, None] * da[row, None]
+            s0 = np.einsum("qjx,jx->qj", d, eb[j])                  # along run 2
+            h = np.linalg.norm(d - s0[..., None] * eb[j], axis=2)   # off its line
+            out += np.einsum("qj,qj->q", g(lb[j] - s0, h) - g(-s0, h), coupling[row, j])
+        return out * 6.0 * tau * (1.0 - tau)
 
-        inner = g(lb - s0) - g(-s0)
-        coupling = (ma[s, None] * mb) * (da[s] @ eb.T)          # m1 m2 L1 e1.e2
-        total += float(np.einsum("iqj,q,ij->", inner, _EDGE_W, coupling))
-    return total / (2.0 * math.pi * m1.area)
+    res = adaptive_integrate(f, 0.0, 1.0, _BOUNDARY_SPEC, abs_floor=1e-15 / len(a),
+                             batch=len(a))
+    if not res.converged:
+        raise ValueError(f"the view factor's boundary integral did not converge "
+                         f"(error {np.sum(res.error):.3e} on {np.sum(res.value):.17g})")
+    return float(np.sum(res.value))
 
 
 def _k2(omega: float) -> float:
@@ -481,7 +479,6 @@ def bb_heat_rate(m1: TriMesh, m2: TriMesh, T1: float, T2: float,
         d_theta = planck_energy(omegas, T1) - planck_energy(omegas, T2)
         return d_theta * coeff * omegas**2 / (2.0 * math.pi)
 
-    res = adaptive_integrate(f, window[0], window[1], spec,
-                             initial_edges=_outer_edges(*window))
+    res = adaptive_integrate(f, *window, spec, initial_edges=_outer_edges(*window))
     return HeatRateResult(value=closed, spectral=res.value, viewfactor=F,
                           window=window)

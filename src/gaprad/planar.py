@@ -160,8 +160,11 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
         krho_arr = np.asarray(krho, dtype=float)
         kz_host_sq = (k0 - krho_arr) * (k0 + krho_arr)
     chain = _media_chain(stack, omega)
+    # eps mu by parts, which commute where numpy's complex multiply (FMA) may not
+    emu = [e.real * m.real - e.imag * m.imag + 1j * (e.real * m.imag + e.imag * m.real)
+           for e, m, _ in chain[1:]]
     kzs = [_branch_sqrt(kz_host_sq),   # the vacuum host's (eps mu - 1)(w/c)^2 is 0
-           *(_branch_sqrt(kz_host_sq + (e * m - 1.0) * k0 * k0) for e, m, _ in chain[1:])]
+           *(_branch_sqrt(kz_host_sq + (em - 1.0) * k0 * k0) for em in emu)]
     weights = [np.reshape([m, e], (2,) + (1,) * (len(shape) - np.ndim(m)) + np.shape(m))
                for e, m, _ in chain]
 

@@ -1,24 +1,24 @@
 """Globally adaptive 1-D quadrature on nested Gauss-Kronrod panels.
 
 One integrator serves every integral in the package: the in-plane
-wavevector integrals of the transmissivities, the frequency integrals and
-the blackbody closure checks.  Each panel carries a 15-point Kronrod value
-and QUADPACK's QK15 error estimate (Piessens et al., QUADPACK, Springer
-1983): with resasc = the Kronrod integral of |f - mean f| over the panel,
-its error is resasc * min(1, (200 |K15 - G7| / resasc)^1.5), the raw
-Kronrod-Gauss difference where resasc vanishes.  An integral passes when
-the sum of its panel errors is at most max(rtol * |total|, floor), as in
-QUADPACK's QAG; the floor is an absolute one per integral or the sum of
-per-panel floors.  Each sweep of a failing integral bisects every panel
-whose error exceeds its tolerance over its panel count and evaluates all
-new panels in one pass, the batched idiom of quad_vec.  Vector integrands
-(both polarizations) pass the test component by component; a batch of
-integrals (one per frequency) shares each sweep, in calls of whole panels,
-while every row keeps its own seed panels and converges on its own.
-Integrands that carry noise of their own (the frequency integrals over
-inner quadratures) may keep the older test instead: each panel's bare
-Kronrod-Gauss difference against the whole tolerance.  Kronrod nodes are
-interior, so endpoints are never evaluated.
+wavevector integrals of the transmissivities, the frequency integrals, the
+blackbody closure checks and the view factors' boundary integrals.  Each
+panel carries a 15-point Kronrod value and QUADPACK's QK15 error estimate
+(Piessens et al., QUADPACK, Springer 1983): with resasc = the Kronrod
+integral of |f - mean f| over the panel, its error is
+resasc * min(1, (200 |K15 - G7| / resasc)^1.5), the raw Kronrod-Gauss
+difference where resasc vanishes.  An integral passes when the sum of its
+panel errors is at most max(rtol * |total|, floor), as in QUADPACK's QAG;
+the floor is an absolute one per integral or the sum of per-panel floors.
+Each sweep of a failing integral bisects every panel whose error exceeds
+its tolerance over its panel count and evaluates all new panels in one
+pass, the batched idiom of quad_vec.  Vector integrands (both
+polarizations) pass the test component by component; a batch of integrals
+(one per frequency or boundary run) shares each sweep in calls of whole
+panels, each row with its own seeds and convergence.  Noisy integrands
+(the frequency integrals over inner quadratures) may keep the older test
+instead: each panel's bare Kronrod-Gauss difference against the whole
+tolerance.  Kronrod nodes are interior, so endpoints are never evaluated.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Triangulated blackbody geometry: meshes, view factors, dyadic route."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaprad import geometry
+from gaprad import geometry, quadrature
 from gaprad import (CONSTANTS, MeshError, TriMesh, bb_heat_rate,
                     bb_transmissivity, bb_transmissivity_direct, load_mesh,
                     rectangle_mesh, save_obj, view_factor)
@@ -484,16 +485,83 @@ def _perpendicular_pair(n: int, offset=(0.0, 0.0, 0.0)):
             rectangle_mesh(o, [0, 1, 0], [0, 0, 1], n, n))
 
 
+def _view_factor_and_error(m1: TriMesh, m2: TriMesh):
+    """view_factor(m1, m2) and the summed error estimate of the one boundary
+    integral it takes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(quadrature.adaptive_integrate(*args, **kwargs))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "adaptive_integrate", spy)
+        value = view_factor(m1, m2)
+    (res,) = calls
+    return value, float(np.sum(res.error))
+
+
+_GAPS = {"10mm": 1e-2, "1mm": 1e-3, "10um": 1e-5}
+
+
 @pytest.mark.parametrize("meshes, oracle", [
     (facing_square_pair(0.5, 16), parallel_rectangle_viewfactor(1.0, 1.0, 0.5)),
     (_perpendicular_pair(16), _perpendicular_viewfactor(1.0, 1.0, 1.0)),
-], ids=["coaxial", "perpendicular"])
+    *((facing_square_pair(gap, n), parallel_rectangle_viewfactor(1.0, 1.0, gap))
+      for gap in _GAPS.values() for n in (4, 64)),
+    *((_perpendicular_pair(n), _perpendicular_viewfactor(1.0, 1.0, 1.0)) for n in (4, 64)),
+], ids=["coaxial", "perpendicular", *(f"coaxial-{g}-{n}" for g in _GAPS for n in (4, 64)),
+        "perpendicular-4", "perpendicular-64"])
 def test_view_factor_matches_the_catalog_in_both_orderings(meshes, oracle):
+    # the boundary integral's own error estimate bounds each miss too
     m1, m2 = meshes
-    f12, f21 = view_factor(m1, m2), view_factor(m2, m1)
-    assert abs(f12 - oracle) <= 1e-11 * oracle
-    assert abs(f21 - oracle) <= 1e-11 * oracle
-    assert abs(m1.area * f12 - m2.area * f21) <= 1e-12 * m1.area * f12
+    (f12, err12), (f21, err21) = _view_factor_and_error(m1, m2), _view_factor_and_error(m2, m1)
+    assert abs(f12 - oracle) <= min(1e-13 * oracle, err12)
+    assert abs(f21 - oracle) <= min(1e-13 * oracle, err21)
+    assert abs(m1.area * f12 - m2.area * f21) <= 1e-14 * m1.area * f12
+
+
+def _renumbered(mesh: TriMesh, rng) -> TriMesh:
+    """The same mesh with its vertices numbered in a random order."""
+    perm = rng.permutation(len(mesh.vertices))
+    return TriMesh(mesh.vertices[perm], np.argsort(perm)[mesh.triangles])
+
+
+def test_boundary_runs_do_not_depend_on_the_vertex_numbering(rng):
+    # renumbering flips the stored order of some boundary edges along a side
+    square = rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 3, 3)
+    other = rectangle_mesh([0.2, 0.1, 0.7], [0, 1, 0], [1, 0, 0], 2, 2)
+    runs = geometry._boundary_edges(square)
+    assert len(runs[0]) == 4
+    for _ in range(5):
+        renumbered = _renumbered(square, rng)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(geometry._boundary_edges(renumbered), runs, strict=True))
+        assert view_factor(renumbered, other) == view_factor(square, other)
+        assert view_factor(other, renumbered) == view_factor(other, square)
+
+
+def test_a_bowtie_exchanges_what_its_halves_do():
+    # two squares welded at one corner vertex, which has two boundary edges
+    # in and two out and must end the runs through it
+    a = rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 2, 2)
+    b = rectangle_mesh([1, 1, 0], [1, 0, 0], [0, 1, 0], 2, 2)
+    assert np.array_equal(a.vertices[8], b.vertices[0])
+    b_to_bowtie = np.concatenate([[8], len(a.vertices) + np.arange(len(b.vertices) - 1)])
+    bowtie = TriMesh(np.vstack([a.vertices, b.vertices[1:]]),
+                     np.vstack([a.triangles, b_to_bowtie[b.triangles]]))
+    assert len(geometry._boundary_edges(bowtie)[0]) == 8
+    other = rectangle_mesh([0, 0, 0.8], [0, 2, 0], [2, 0, 0], 3, 3)
+    whole = bowtie.area * view_factor(bowtie, other)
+    halves = a.area * view_factor(a, other) + b.area * view_factor(b, other)
+    assert abs(whole - halves) <= 1e-14 * halves
+
+
+def test_an_unconverged_boundary_integral_is_refused(monkeypatch):
+    monkeypatch.setattr(geometry, "_BOUNDARY_SPEC",
+                        dataclasses.replace(geometry._BOUNDARY_SPEC, max_subdivisions=0))
+    with pytest.raises(ValueError, match="boundary integral did not converge"):
+        view_factor(*facing_square_pair(1e-5, 4))
 
 
 def test_view_factor_ignores_the_order_it_validates():

@@ -201,6 +201,25 @@ def test_stack_duality_multilayer(rng):
         assert abs(rp_dual - rs) <= 1e-14 * max(abs(rs), 1e-30)
 
 
+def test_duality_is_bitwise_for_array_krho(rng):
+    # numpy's complex multiply may round eps mu and mu eps apart (FMA), so the
+    # stack forms eps mu from its parts; array krho swaps as scalars do
+    def medium():
+        return (complex(rng.uniform(-3, 8), rng.uniform(0, 3)),
+                complex(rng.uniform(-1, 4), rng.uniform(0, 1.5)))
+
+    for _ in range(200):
+        w = 10**rng.uniform(13, 15)
+        krho = rng.uniform(0, 2.2, size=8) * w / C
+        term, films = medium(), [(medium(), 10**rng.uniform(-8, -6.5))
+                                 for _ in range(rng.integers(0, 3))]
+        stack, dual = (LayerStack(Constant(*term[::k]),
+                                  tuple((Constant(*m[::k]), d) for m, d in films))
+                       for k in (1, -1))
+        assert np.array_equal(stack_reflection(dual, None, w, krho),
+                              stack_reflection(stack, None, w, krho)[::-1])
+
+
 def test_layer_stack_rejects_nonpositive_thickness():
     with pytest.raises(ValueError):
         LayerStack(Constant(), ((Constant(), 0.0),))

@@ -1,11 +1,14 @@
 """Adaptive Gauss-Kronrod integrator."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaprad
 from gaprad import IntegrationSpec, adaptive_integrate
 
 
@@ -387,3 +390,16 @@ def test_batch_integrand_receives_whole_panels():
         panels, rows = x.reshape(-1, 15), row.reshape(-1, 15)
         assert (rows == rows[:, :1]).all()
         assert (np.diff(panels, axis=1) > 0.0).all()
+
+
+def test_only_quadrature_reads_the_node_table():
+    # _NODES, the panel size, is the contract other modules may use; the
+    # Kronrod and Gauss tables stay behind the one integrator
+    for path in Path(gaprad.__file__).parent.glob("*.py"):
+        if path.name == "quadrature.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"_XK", "_WK", "_WG"}, path.name
