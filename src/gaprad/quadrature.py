@@ -8,8 +8,8 @@ panel carries a 15-point Kronrod value and QUADPACK's QK15 error estimate
 integral of |f - mean f| over the panel, its error is
 resasc * min(1, (200 |K15 - G7| / resasc)^1.5), the raw Kronrod-Gauss
 difference where resasc vanishes.  An integral passes when the sum of its
-panel errors is at most max(rtol * |total|, floor), as in QUADPACK's QAG;
-the floor is an absolute one per integral or the sum of per-panel floors.
+panel errors is at most max(rtol * |total|, floor), as in QUADPACK's QAG,
+with one absolute floor per integral.
 Each sweep of a failing integral bisects every panel whose error exceeds
 its tolerance over its panel count and evaluates all new panels in one
 pass, the batched idiom of quad_vec.  Vector integrands (both
@@ -24,6 +24,7 @@ tolerance.  Kronrod nodes are interior, so endpoints are never evaluated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -86,9 +87,14 @@ class IntegrationSpec:
             raise ValueError(f"rtol must be positive, got {self.rtol!r}")
         if not (self.abs_floor >= 0.0):
             raise ValueError("abs_floor must be >= 0")
+        if not isinstance(self.max_subdivisions, numbers.Integral):
+            raise ValueError(f"max_subdivisions must be an integer, "
+                             f"got {self.max_subdivisions!r}")
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be >= 0")
         if self.window is not None:
+            if np.shape(self.window) != (2,):
+                raise ValueError(f"window must be a (lo, hi) pair, got {self.window!r}")
             lo, hi = self.window
             if not (0.0 < lo < hi < math.inf):
                 raise ValueError(f"frequency window must satisfy 0 < lo < hi < inf, "
@@ -199,10 +205,7 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     callers that know the rounding scale of their integrand (for example a
     transmission numerator built from 1 - |R|^2 cancellations) pass it so
     that a pure-noise integrand converges to its floor instead of burning
-    the whole subdivision budget.  It may also be a callable
-    abs_floor(lo, hi, row) giving the floor of each panel [lo, hi] of
-    integral row (arrays of panels); the floor of an integral is then the
-    sum over its current panels.
+    the whole subdivision budget.
 
     batch=B >= 1 runs B integrals over the same [a, b] in one sweep loop:
     f(x, row) gets the integral row[i] of each abscissa x[i], in whole
@@ -224,16 +227,22 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
+    if batch is not None and not isinstance(batch, numbers.Integral):
+        raise ValueError(f"batch must be an integer, got {batch!r}")
     if batch is not None and batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch!r}")
     n_rows = 1 if batch is None else batch
     g = (lambda x, row: f(x)) if batch is None else f
-    panel_floor = abs_floor if callable(abs_floor) else None
-    floor = np.maximum(spec.abs_floor, np.broadcast_to(0.0 if panel_floor else abs_floor,
-                                                       (n_rows,)))
+    try:
+        floor = np.broadcast_to(np.asarray(abs_floor, dtype=float), (n_rows,))
+    except (TypeError, ValueError):
+        floor = np.full(n_rows, np.nan)
+    if not (floor >= 0.0).all():   # NaN too: its tolerance would pass every panel
+        raise ValueError(f"abs_floor must be >= 0, one number or one per row ({n_rows}), "
+                         f"got {abs_floor!r}")
+    floor = np.maximum(spec.abs_floor, floor)
     lo, hi, row, seeds = _seed_panels(a, b, initial_edges, n_rows)
     vals, errs, scalar = _eval_panels(g, lo, hi, row, per_panel)
-    flo = panel_floor(lo, hi, row) if panel_floor else None
     m = vals.shape[1]
     budget = np.full(n_rows, spec.max_subdivisions * m)
     while True:
@@ -241,8 +250,7 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
         # depends on that row alone
         totals = np.stack([np.bincount(row, vals[:, c], n_rows) for c in range(m)], 1)
         errors = np.stack([np.bincount(row, errs[:, c], n_rows) for c in range(m)], 1)
-        row_floor = floor if flo is None else np.maximum(floor, np.bincount(row, flo, n_rows))
-        tol = np.maximum(spec.rtol * np.abs(totals), row_floor[:, None])
+        tol = np.maximum(spec.rtol * np.abs(totals), floor[:, None])
         # a failing component's share of its tolerance on each panel of its row
         panels = np.bincount(row, minlength=n_rows)
         if per_panel:
@@ -275,8 +283,6 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
         row = np.concatenate([row[keep], new_row])
         vals = np.concatenate([vals[keep], v2])
         errs = np.concatenate([errs[keep], e2])
-        if flo is not None:
-            flo = np.concatenate([flo[keep], panel_floor(new_lo, new_hi, new_row)])
 
     # every row reports the sums its panels were last tested against; its
     # worst panel is its first, in array order, of largest excess

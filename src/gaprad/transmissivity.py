@@ -16,10 +16,10 @@ logarithmically spaced panels, the propagating branch (in u = krho / k0)
 with 8 even ones.  Each frequency adds an edge at the light line
 krho = k0 sqrt(Re eps mu) of every non-black medium of both bodies that
 falls inside a branch, where the reflections have a kink; the two bodies'
-lines form one set, so a body swap keeps the panels.  Each panel's noise
-floor is 1e-13 of its own share of the Landauer ceiling, and each
-integral must bring the sum of its panel errors within its tolerance
-(see quadrature).  The integrable kink at krho = w/c is handled by
+lines form one set, so a body swap keeps the panels.  Each integral's
+noise floor is 1e-13 of its branch's Landauer ceiling, and each integral
+must bring the sum of its panel errors within its tolerance (see
+quadrature).  The integrable kink at krho = w/c is handled by
 ending/starting the branches exactly there; panel nodes are interior so
 the point itself is never evaluated.
 """
@@ -195,23 +195,25 @@ def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
     underflow = (w / _C) ** 2 < np.finfo(float).tiny
     if underflow.any():
         raise ValueError(f"(omega/c)^2 underflows at omega={float(w[underflow][0])!r} rad/s")
-    # Landauer-ceiling scales of the two branches (unit integrand over the measure), times
-    # the branch bound of |kz|/w for the momentum kernel: each panel's noise floor is a share
+    # Landauer ceilings of the two branches: the integral over each of the
+    # unit channel, times for the momentum kernel its bound 2|kz|/w, taken at
+    # kz = k0 on the propagating branch and integrated on the evanescent one;
+    # NOISE_FRACTION of a ceiling is its integral's noise floor
     k0, gap, t_max = w / _C, system.gap, EVANESCENT_CUTOFF
     with np.errstate(over="ignore"):
-        scale_prop = k0 * k0 / (4.0 * math.pi)
-        scale_evan = np.full_like(w, t_max * t_max / (4.0 * math.pi * gap * gap))
+        ceil_prop = k0 * k0 / (4.0 * math.pi)
+        ceil_evan = np.full_like(w, t_max * t_max / (4.0 * math.pi * gap * gap))
         if momentum:
-            scale_prop *= 2.0 * k0 / w
-            scale_evan *= 2.0 * t_max / (w * gap)
-    overflow = ~(np.isfinite(scale_prop) & np.isfinite(scale_evan))
+            ceil_prop *= 2.0 * k0 / w
+            ceil_evan *= 4.0 * t_max / (3.0 * w * gap)
+    overflow = ~(np.isfinite(ceil_prop) & np.isfinite(ceil_evan))
     if overflow.any():
         raise ValueError(f"branch ceiling is not finite at gap={gap!r} m, "
                          f"omega={float(w[overflow][0])!r} rad/s")
+    floor_prop, floor_evan = NOISE_FRACTION * ceil_prop, NOISE_FRACTION * ceil_evan
     out = [bd for i in range(0, len(w), _OMEGA_GROUP)
            for bd in _group(system, w[i:i + _OMEGA_GROUP], integrand, spec,
-                            scale_prop[i:i + _OMEGA_GROUP], scale_evan[i:i + _OMEGA_GROUP],
-                            momentum)]
+                            floor_prop[i:i + _OMEGA_GROUP], floor_evan[i:i + _OMEGA_GROUP])]
     return out if np.ndim(omegas) else out[0]
 
 
@@ -236,8 +238,7 @@ def _seed_edges(bodies, omegas: np.ndarray, gap: float):
 
 
 def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSpec,
-           scale_prop: np.ndarray, scale_evan: np.ndarray,
-           momentum: bool) -> list[ChannelBreakdown]:
+           floor_prop: np.ndarray, floor_evan: np.ndarray) -> list[ChannelBreakdown]:
     k0 = omegas / _C
     gap = system.gap
     bodies = (system.body1,) if system.body1 == system.body2 else (system.body1, system.body2)
@@ -268,23 +269,11 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
         return (t / (2.0 * math.pi * gap * gap)
                 * integrand(r1, r2, krho, omegas[row], gap, khz=q)).reshape(2, -1).T
 
-    # each panel's noise floor is NOISE_FRACTION times its own share of its
-    # branch ceiling: the ceiling grows as u^2 and t^2, times t for the
-    # momentum kernel's |kz|/w on the evanescent branch
-    t_max = EVANESCENT_CUTOFF
-
-    def floor_prop(lo, hi, row):
-        return NOISE_FRACTION * scale_prop[row] * ((hi - lo) * (hi + lo))
-
-    def floor_evan(lo, hi, row):
-        share = (hi - lo) * (hi + lo) / (t_max * t_max)
-        return NOISE_FRACTION * scale_evan[row] * (share * (hi / t_max) if momentum else share)
-
     prop_edges, evan_edges = _seed_edges(bodies, omegas, gap)
     res_prop = adaptive_integrate(f_prop, 0.0, 1.0, spec, prop_edges, floor_prop,
                                   batch=len(omegas))
-    res_evan = adaptive_integrate(f_evan, 0.0, t_max, spec, evan_edges, floor_evan,
-                                  batch=len(omegas))
+    res_evan = adaptive_integrate(f_evan, 0.0, EVANESCENT_CUTOFF, spec, evan_edges,
+                                  floor_evan, batch=len(omegas))
 
     out = []
     for omega, k0_row, prop, evan in zip(omegas.tolist(), k0.tolist(),

@@ -349,29 +349,52 @@ def test_ragged_edges_need_one_array_per_row():
 
 
 def test_panel_floors_are_summed_over_the_panels():
-    # a pure-noise integrand: its panel errors pass once the floors of the
-    # panels add up to more than their sum, and no sooner
+    # a pure-noise integrand: the sum of its panel errors passes a floor
+    # just above it and no floor below it, though each panel's error is a
+    # sixteenth of either
     def noise(x):
         return 1e-12 * np.sin(1e7 * x)
 
     edges = np.linspace(0.0, 1.0, 17)
     spec = IntegrationSpec(rtol=1e-12, max_subdivisions=0)
     err = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges).error
-    seen = []
-
-    def floor(scale):
-        def panel_floor(lo, hi, row):
-            seen.append((lo.copy(), hi.copy(), row.copy()))
-            return scale * err * (hi - lo)
-        return panel_floor
-
-    ok = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges, abs_floor=floor(1.01))
+    ok = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges, abs_floor=1.01 * err)
     assert ok.converged and ok.neval == 15 * 16
-    assert np.array_equal(seen[0][0], edges[:-1]) and np.array_equal(seen[0][1], edges[1:])
-    assert not seen[0][2].any()
     short = adaptive_integrate(noise, 0.0, 1.0, spec, initial_edges=edges,
-                               abs_floor=floor(0.99))
+                               abs_floor=0.99 * err)
     assert not short.converged
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"abs_floor": math.nan}, "abs_floor must be >= 0, one number or one per row (1), got nan"),
+    ({"abs_floor": -1e-12}, "abs_floor must be >= 0"),
+    ({"abs_floor": lambda lo, hi, row: hi - lo}, "abs_floor must be >= 0"),
+    ({"abs_floor": np.ones(3), "batch": 2}, "one per row (2), got array"),
+    ({"abs_floor": [[1e-12]]}, "abs_floor must be >= 0"),
+    ({"batch": 2.5}, "batch must be an integer, got 2.5"),
+], ids=["nan", "negative", "callable", "wrong-length", "2-d", "float-batch"])
+def test_bad_floor_or_batch_is_refused_by_name(kwargs, message):
+    # a NaN floor once made every tolerance NaN, and no panel was split
+    with pytest.raises(ValueError, match=re.escape(message)):
+        adaptive_integrate(_never_called, 0.0, 1.0, **kwargs)
+    ok = adaptive_integrate(lambda x, row: x, 0.0, 1.0, abs_floor=np.full(2, 1e-12),
+                            batch=np.int64(2))
+    assert ok.converged and len(ok.rows) == 2
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_subdivisions": math.inf}, "max_subdivisions must be an integer, got inf"),
+    ({"max_subdivisions": math.nan}, "max_subdivisions must be an integer, got nan"),
+    ({"max_subdivisions": 2.5}, "max_subdivisions must be an integer, got 2.5"),
+    ({"max_subdivisions": -1}, "max_subdivisions must be >= 0"),
+    ({"window": (1, 2, 3)}, "window must be a (lo, hi) pair, got (1, 2, 3)"),
+    ({"window": 1e14}, "window must be a (lo, hi) pair, got 100000000000000.0"),
+], ids=["inf", "nan", "fraction", "negative", "triple", "scalar"])
+def test_spec_refuses_non_integer_budgets_and_non_pair_windows(kwargs, message):
+    # an infinite budget never ran out and a NaN one never split a panel
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IntegrationSpec(**kwargs)
+    assert IntegrationSpec(max_subdivisions=np.int64(5)).max_subdivisions == 5
 
 
 def test_batch_integrand_receives_whole_panels():

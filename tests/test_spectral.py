@@ -7,7 +7,8 @@ import pytest
 
 from gaprad import (CONSTANTS, Black, Constant, Drude, GapSystem,
                     IntegrationSpec, LayerStack, auto_window, bb_heat_rate, conductance,
-                    heat_flux, neq_pressure, planck_energy, spectrum)
+                    energy_transmissivity_pp, heat_flux, momentum_transmissivity_pp,
+                    neq_pressure, planck_energy, spectrum)
 from gaprad import Tabulated
 from gaprad.spectral import ZERO_POINT_NOTE, TableRangeError, _outer_edges
 from conftest import SIC, facing_square_pair
@@ -141,6 +142,19 @@ def test_spectrum_grid_and_threads():
         assert a.energy.total == b.energy.total
         assert a.momentum.total == b.momentum.total
     assert all(r.energy.total >= 0.0 for r in serial)
+
+
+def test_spectrum_rows_are_the_kernel_calls():
+    # any seed pass shared between the two kernels must keep each kernel's
+    # breakdowns (values, errors, counts) those of its own call; 70
+    # frequencies span two groups of the batched kernels
+    film = LayerStack(Drude(1.0, 1.37e16, 4.05e13), ((SIC, 100e-9),))
+    system = GapSystem(film, LayerStack(SIC), 50e-9, 400.0, 300.0)
+    omegas = np.geomspace(1e13, 1e15, 70)
+    spec = IntegrationSpec(rtol=1e-8)
+    rows = spectrum(system, omegas, spec)
+    assert [r.energy for r in rows] == energy_transmissivity_pp(system, omegas, spec)
+    assert [r.momentum for r in rows] == momentum_transmissivity_pp(system, omegas, spec)
 
 
 def _table_1e13_1e15():

@@ -533,3 +533,35 @@ def test_gaps_at_the_edge_of_the_float_range(monkeypatch):
     with pytest.raises(ValueError, match=r"branch ceiling is not finite at gap=1e-110 m, "
                                          r"omega=5\d{9}\.\d+ rad/s"):
         neq_pressure(GapSystem(sic, sic, 1e-110, 400, 0), 1, 400)
+
+
+def test_each_inner_integral_gets_one_floor_per_row_from_its_branch_ceiling(monkeypatch):
+    # the floor is NOISE_FRACTION of the branch's Landauer ceiling, the
+    # integral over the branch of the kernel's bound; 70 frequencies make
+    # two groups, each with its own slice of the floors
+    tm = gaprad.transmissivity
+    calls = []
+
+    def recorded(f, a, b, spec, edges, abs_floor, **kwargs):
+        calls.append((b, abs_floor))
+        return inner(f, a, b, spec, edges, abs_floor, **kwargs)
+
+    inner = tm.adaptive_integrate
+    monkeypatch.setattr(tm, "adaptive_integrate", recorded)
+    gap, t = 50e-9, tm.EVANESCENT_CUTOFF
+    system = GapSystem(FILM, LayerStack(SIC), gap)
+    omegas = np.geomspace(1e13, 1e15, 70)
+    k0 = omegas / C
+    ceilings = {energy_transmissivity_pp: (k0**2 / (4 * math.pi),
+                                           np.full(70, t**2 / (4 * math.pi * gap**2))),
+                momentum_transmissivity_pp: (k0**3 / (2 * math.pi * omegas),
+                                             t**3 / (3 * math.pi * gap**3 * omegas))}
+    for kernel, (prop, evan) in ceilings.items():
+        calls.clear()
+        kernel(system, omegas, IntegrationSpec(max_subdivisions=0))
+        assert [b for b, _ in calls] == [1.0, t, 1.0, t]
+        for floor in (fl for _, fl in calls):
+            assert isinstance(floor, np.ndarray) and floor.dtype == float
+        for i, ceiling in ((0, prop), (1, evan)):
+            floor = np.concatenate([calls[i][1], calls[i + 2][1]])
+            np.testing.assert_allclose(floor, tm.NOISE_FRACTION * ceiling, rtol=1e-15)
