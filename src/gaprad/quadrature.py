@@ -250,7 +250,9 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
         # depends on that row alone
         totals = np.stack([np.bincount(row, vals[:, c], n_rows) for c in range(m)], 1)
         errors = np.stack([np.bincount(row, errs[:, c], n_rows) for c in range(m)], 1)
-        tol = np.maximum(spec.rtol * np.abs(totals), floor[:, None])
+        # an rtol above 1 may overflow here: an infinite tolerance passes
+        with np.errstate(over="ignore"):
+            tol = np.maximum(spec.rtol * np.abs(totals), floor[:, None])
         # a failing component's share of its tolerance on each panel of its row
         panels = np.bincount(row, minlength=n_rows)
         if per_panel:

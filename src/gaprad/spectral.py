@@ -80,9 +80,10 @@ class SpectralResult:
 
 def auto_window(T_max: float) -> tuple[float, float]:
     """Frequency window [1e-4, 60] k_b T / hbar covering the Bose weight."""
-    if not (T_max > 0.0):
-        raise ValueError("auto window needs a positive temperature")
     scale = _K_B * T_max / _HBAR
+    if not (T_max > 0.0 and math.isfinite(60.0 * scale)):
+        raise ValueError("auto window needs a positive temperature whose window is finite, "
+                         f"got T_max={T_max!r}")
     return 1e-4 * scale, 60.0 * scale
 
 

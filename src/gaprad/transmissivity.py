@@ -11,11 +11,11 @@ integrand call evaluates only the factors of the branch its points lie on.
 
 The evanescent branch is integrated in t = |kz_vacuum| * gap, which pins
 the tunneling exponential to unit scale at every gap width; the branch is
-cut off at t = 20 (2t = 40, tail below 5e-18) and seeded with 24
-logarithmically spaced panels, the propagating branch (in u = krho / k0)
-with 8 even ones.  Each frequency adds an edge at the light line
-krho = k0 sqrt(Re eps mu) of every non-black medium of both bodies that
-falls inside a branch, where the reflections have a kink; the two bodies'
+cut off at t = 20 (2t = 40, tail below 5e-18) and seeded with 12 panels,
+[0, 2e-3] and 11 logarithmically spaced ones, the propagating branch (in
+u = krho / k0) with 2 even ones.  Each frequency adds an edge at the light
+line krho = k0 sqrt(Re eps mu) of every non-black medium of both bodies
+that falls inside a branch, where the reflections have a kink; the two bodies'
 lines form one set, so a body swap keeps the panels.  Each integral's
 noise floor is 1e-13 of its branch's Landauer ceiling, and each integral
 must bring the sum of its panel errors within its tolerance (see
@@ -174,13 +174,15 @@ NOISE_FRACTION = 1e-13
 
 
 # frequencies per batch of wavevector integrals: bounds the panels in flight,
-# about 2100 seed panels (64 rows of about 33)
+# about 960 seed panels (64 rows of about 15)
 _OMEGA_GROUP = 64
 
 # blind seed panels of the two branches, before each frequency's light lines
-# are added: 8 even ones in u = krho / (w/c) and 24 logarithmic ones in t
-_PROP_SEEDS = np.linspace(0.0, 1.0, 9).tolist()
-_EVAN_SEEDS = [0.0, *np.geomspace(1e-6 * EVANESCENT_CUTOFF, EVANESCENT_CUTOFF, 24).tolist()]
+# are added: 2 even ones in u = krho / (w/c), and in t [0, 2e-3] and 11
+# logarithmic ones; every integral must still bring its summed error within
+# its tolerance, so the seeds only set where refinement starts
+_PROP_SEEDS = np.linspace(0.0, 1.0, 3).tolist()
+_EVAN_SEEDS = [0.0, *np.geomspace(1e-4 * EVANESCENT_CUTOFF, EVANESCENT_CUTOFF, 12).tolist()]
 # smallest evanescent light line kept: the Kronrod nodes of [0, t] stay normal floats
 _T_LINE_MIN = 1e3 * np.finfo(float).tiny
 
