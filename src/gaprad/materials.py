@@ -36,7 +36,7 @@ __all__ = [
 # exact SI definitions (2019); sigma stored at full float64 precision so the
 # derived-vs-stored identity holds far below 1e-12
 _H_PLANCK = 6.62607015e-34
-_HBAR = 1.0545718176461565e-34          # h / 2pi
+_HBAR = _H_PLANCK / (2.0 * math.pi)
 _K_B = 1.380649e-23
 _C_LIGHT = 299792458.0
 _SIGMA_SB = 5.670374419184429e-08       # pi^2 k_b^4 / (60 c^2 hbar^3)

@@ -12,11 +12,12 @@ panel errors is at most max(rtol * |total|, floor), as in QUADPACK's QAG,
 with one absolute floor per integral.
 Each sweep of a failing integral bisects every panel whose error exceeds
 its tolerance over its panel count and evaluates all new panels in one
-pass, the batched idiom of quad_vec.  Vector integrands (both
-polarizations) pass the test component by component; a batch of integrals
-(one per frequency or boundary run) shares each sweep in calls of whole
-panels, each row with its own seeds and convergence.  Noisy integrands
-(the frequency integrals over inner quadratures) may keep the older test
+pass, the batched idiom of quad_vec: calls of at most 96 panels, then the
+rule over all of them at once.  Vector integrands (both polarizations)
+pass the test component by component; a batch of integrals (one per
+frequency or boundary run) shares each sweep in calls of whole panels,
+each row with its own seeds and convergence.  Noisy integrands (the
+frequency integrals over inner quadratures) may keep the older test
 instead: each panel's bare Kronrod-Gauss difference against the whole
 tolerance.  Kronrod nodes are interior, so endpoints are never evaluated.
 """
@@ -124,31 +125,25 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray,
                  raw_error: bool):
     """Kronrod values and error estimates, (panels, components), and whether
     f returned one value per abscissa.  The estimate is QK15's, or with
-    raw_error the bare Kronrod-Gauss difference."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    vals, errs = [], []
-    for i in range(0, len(lo), _PANELS_PER_CALL):
-        s = slice(i, i + _PANELS_PER_CALL)
-        x = (mid[s, None] + half[s, None] * _XK[None, :]).ravel()
-        fx = np.asarray(f(x, np.repeat(row[s], _NODES)), dtype=float)
-        scalar = fx.ndim == 1
-        fx = fx.reshape(len(x) // _NODES, _NODES, -1)
-        finite = np.isfinite(fx).all(axis=2)
-        if not finite.all():
-            bad = x.reshape(-1, _NODES)[~finite]
-            raise ValueError(f"non-finite integrand value near x={bad[0]!r}")
-        k15 = np.einsum("pic,i->pc", fx, _WK)
-        raw = np.abs(half[s, None] * (k15 - np.einsum("pic,i->pc", fx, _WG)))
-        vals.append(half[s, None] * k15)
-        if raw_error:
-            errs.append(raw)
-            continue
-        resasc = np.abs(half[s, None]) * np.einsum(
-            "pic,i->pc", np.abs(fx - 0.5 * k15[:, None, :]), _WK)
-        ratio = np.divide(200.0 * raw, resasc, out=np.ones_like(raw), where=resasc > 0.0)
-        errs.append(np.where(resasc > 0.0, resasc * np.minimum(ratio, 1.0) ** 1.5, raw))
-    return np.concatenate(vals), np.concatenate(errs), scalar
+    raw_error the bare Kronrod-Gauss difference; only the calls of f are chunked."""
+    half = 0.5 * (hi - lo)[:, None]
+    x = 0.5 * (hi + lo)[:, None] + half * _XK
+    fx = [np.asarray(f(x[i:i + _PANELS_PER_CALL].ravel(),
+                       np.repeat(row[i:i + _PANELS_PER_CALL], _NODES)), dtype=float)
+          for i in range(0, len(lo), _PANELS_PER_CALL)]
+    scalar = fx[-1].ndim == 1
+    fx = np.concatenate(fx).reshape(len(lo), _NODES, -1)
+    finite = np.isfinite(fx).all(axis=2)
+    if not finite.all():
+        raise ValueError(f"non-finite integrand value near x={x[~finite][0]!r}")
+    k15 = np.einsum("pic,i->pc", fx, _WK)
+    raw = np.abs(half * (k15 - np.einsum("pic,i->pc", fx, _WG)))
+    if raw_error:
+        return half * k15, raw, scalar
+    resasc = np.abs(half) * np.einsum("pic,i->pc", np.abs(fx - 0.5 * k15[:, None, :]), _WK)
+    ratio = np.divide(200.0 * raw, resasc, out=np.ones_like(raw), where=resasc > 0.0)
+    return (half * k15, np.where(resasc > 0.0, resasc * np.minimum(ratio, 1.0) ** 1.5, raw),
+            scalar)
 
 
 def _seed_panels(a: float, b: float, initial_edges, n_rows: int):
@@ -192,7 +187,8 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     is at most max(rtol * |its total|, floor).  Until it does, each sweep
     bisects every panel on which some failing component's error exceeds
     that tolerance over the panel count, and evaluates the new panels in
-    one pass, in calls of at most 96 panels.  The budget is
+    one pass: f is called on at most 96 panels at a time, and their values
+    and error estimates are formed once over all of them.  The budget is
     max_subdivisions bisections per component; when it runs short, the
     panels furthest over their share go first.  initial_edges seeds the
     panel layout (useful to resolve known scales before adaptivity
@@ -255,10 +251,8 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
             tol = np.maximum(spec.rtol * np.abs(totals), floor[:, None])
         # a failing component's share of its tolerance on each panel of its row
         panels = np.bincount(row, minlength=n_rows)
-        if per_panel:
-            share = tol[row]
-        else:
-            share = np.where(errors > tol, tol / panels[:, None], np.inf)[row]
+        share = (tol if per_panel
+                 else np.where(errors > tol, tol / panels[:, None], np.inf))[row]
         # per panel, the largest error/share ratio of a failing component
         with np.errstate(divide="ignore"):
             excess = np.divide(errs, share, out=np.zeros_like(errs),

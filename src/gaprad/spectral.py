@@ -208,6 +208,8 @@ def spectrum(system: GapSystem, omegas, spec: IntegrationSpec = _DEFAULT_SPEC,
     evaluated in order on the calling thread.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omegas.ndim != 1:
+        raise ValueError(f"the frequency grid must be 1-D, got shape {omegas.shape}")
     if len(omegas):
         _check_tables(system, omegas.min(), omegas.max())
     return [SpectralResult(omega=w, energy=e, momentum=m) for w, e, m in zip(

@@ -187,10 +187,11 @@ _EVAN_SEEDS = [0.0, *np.geomspace(1e-4 * EVANESCENT_CUTOFF, EVANESCENT_CUTOFF, 1
 _T_LINE_MIN = 1e3 * np.finfo(float).tiny
 
 
-def _breakdown(system: GapSystem, omegas, integrand, spec: IntegrationSpec,
-               momentum: bool = False):
+def _breakdown(system: GapSystem, omegas, spec: IntegrationSpec, momentum: bool = False):
     """One (s, p) wavevector integral per branch and frequency, batched over
-    the frequencies: a list of breakdowns for an array, one for a scalar."""
+    the frequencies: a list of breakdowns for an array, one for a scalar.
+    The kernel, energy_integrand or momentum_integrand, is read at call time."""
+    integrand = momentum_integrand if momentum else energy_integrand
     w = _positive_omega(omegas).reshape(-1)
     # a subnormal (omega/c)^2 has lost digits, and the kz^2 built from it can
     # vanish, which no wavevector integral resolves
@@ -245,10 +246,12 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
     gap = system.gap
     bodies = (system.body1,) if system.body1 == system.body2 else (system.body1, system.body2)
 
-    def reflections(row, krho, kz_host_sq):
-        # rows s and p of each distinct body from one recursion
-        r = [stack_reflection(body, None, omegas[row], krho, kz_host_sq) for body in bodies]
-        return r[0], r[-1]
+    def panels(row, krho, kz_host_sq, khz, measure):
+        # rows s and p of each distinct body from one recursion, then the
+        # integrand times the branch measure, (points, 2)
+        w = omegas[row]
+        r = [stack_reflection(body, None, w, krho, kz_host_sq) for body in bodies]
+        return (measure * integrand(r[0], r[-1], krho, w, gap, khz=khz)).reshape(2, -1).T
 
     def f_prop(u, row):
         # substitution u = krho / (w/c): krho dkrho = k0 krho du, and every
@@ -257,19 +260,14 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
         k0r = k0[row]
         krho = u * k0r
         kzh2 = (k0r - krho) * (k0r + krho)
-        r1, r2 = reflections(row, krho, kzh2)
-        return (k0r * krho / (2.0 * math.pi)
-                * integrand(r1, r2, krho, omegas[row], gap, khz=np.sqrt(kzh2))).reshape(2, -1).T
+        return panels(row, krho, kzh2, np.sqrt(kzh2), k0r * krho / (2.0 * math.pi))
 
     def f_evan(t, row):
         # substitution t = |kz| * gap: krho dkrho = t dt / gap^2, and the
         # decay constant t/gap is exact even where krho rounds to w/c
         t, row = t.reshape(-1, _NODES), row[::_NODES, None]
         q = t / gap
-        krho = np.hypot(k0[row], q)
-        r1, r2 = reflections(row, krho, -q * q)
-        return (t / (2.0 * math.pi * gap * gap)
-                * integrand(r1, r2, krho, omegas[row], gap, khz=q)).reshape(2, -1).T
+        return panels(row, np.hypot(k0[row], q), -q * q, q, t / (2.0 * math.pi * gap * gap))
 
     prop_edges, evan_edges = _seed_edges(bodies, omegas, gap)
     res_prop = adaptive_integrate(f_prop, 0.0, 1.0, spec, prop_edges, floor_prop,
@@ -305,7 +303,7 @@ def energy_transmissivity_pp(system: GapSystem, omega,
     of frequencies the result is a list of breakdowns, each bitwise the
     one its frequency gives alone.
     """
-    return _breakdown(system, omega, energy_integrand, spec)
+    return _breakdown(system, omega, spec)
 
 
 def momentum_transmissivity_pp(system: GapSystem, omega,
@@ -316,4 +314,4 @@ def momentum_transmissivity_pp(system: GapSystem, omega,
     swap.  Two black bodies give -omega^2/(3 pi c^3).  An array of
     frequencies gives a list of breakdowns, as for the energy one.
     """
-    return _breakdown(system, omega, momentum_integrand, spec, momentum=True)
+    return _breakdown(system, omega, spec, momentum=True)

@@ -281,20 +281,33 @@ def _qk15(f, lo, hi):
     return k15, g7, resasc
 
 
-@pytest.mark.parametrize("f, lo, hi", [(np.exp, 0.0, 1.0), (np.exp, 0.0, 8.0),
-                                       (lambda x: np.sin(40 * x), 0.0, 3.0)])
-def test_panel_error_is_qk15s(f, lo, hi):
-    # one panel, no bisection: the reported error is QUADPACK's estimate,
-    # and per_panel keeps the bare Kronrod-Gauss difference
-    k15, g7, resasc = _qk15(f, lo, hi)
+@pytest.mark.parametrize("f, lo, hi, panels", [
+    pytest.param(np.exp, 0.0, 1.0, 1, id="exp-0.0-1.0"),
+    pytest.param(np.exp, 0.0, 8.0, 1, id="exp-0.0-8.0"),
+    pytest.param(lambda x: np.sin(40 * x), 0.0, 3.0, 1, id="<lambda>-0.0-3.0"),
+    # three integrand calls of 96, 96 and 8 panels, one rule over all 200
+    pytest.param(lambda x: np.sin(1000 * x), 0.0, 3.0, 200, id="200-panels")])
+def test_panel_error_is_qk15s(f, lo, hi, panels):
+    # no bisection: the reported error is the sum of QUADPACK's panel
+    # estimates, and per_panel keeps the bare Kronrod-Gauss differences
+    edges = np.linspace(lo, hi, panels + 1)
+    k15, g7, resasc = np.transpose([_qk15(f, a, b) for a, b in zip(edges[:-1], edges[1:])])
     spec = IntegrationSpec(max_subdivisions=0)
-    res = adaptive_integrate(f, lo, hi, spec)
-    assert res.value == pytest.approx(k15, rel=1e-15)
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    res = adaptive_integrate(counted, lo, hi, spec, initial_edges=edges)
+    assert calls == ([15 * 96, 15 * 96, 15 * 8] if panels == 200 else [15])
+    # the 200 panel values cancel: rounding is relative to the sum of their sizes
+    assert res.value == pytest.approx(k15.sum(), rel=1e-15, abs=1e-15 * np.abs(k15).sum())
     assert res.error == pytest.approx(
-        resasc * min(1.0, (200.0 * abs(k15 - g7) / resasc) ** 1.5), rel=1e-12)
-    bare = adaptive_integrate(f, lo, hi, spec, per_panel=True)
+        np.sum(resasc * np.minimum(1.0, (200.0 * abs(k15 - g7) / resasc) ** 1.5)), rel=1e-12)
+    bare = adaptive_integrate(f, lo, hi, spec, initial_edges=edges, per_panel=True)
     assert bare.value == res.value
-    assert bare.error == pytest.approx(abs(k15 - g7), rel=1e-12)
+    assert bare.error == pytest.approx(np.sum(abs(k15 - g7)), rel=1e-12)
 
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-9, 1e-12])
@@ -426,3 +439,43 @@ def test_only_quadrature_reads_the_node_table():
                  for alias in node.names}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not names & {"_XK", "_WK", "_WG"}, path.name
+
+
+def _module_names(tree):
+    """The module-level names a module defines: defs, classes, assignment
+    targets and imports (not from __future__), without dunders."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                              and node.module != "__future__"):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_every_module_level_name_is_exported_or_read():
+    # a name no module reads and no __all__ exports is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(gaprad.__file__).parent.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                read |= {alias.name for alias in node.names}
+    dead = {}
+    for name, tree in trees.items():
+        exported = {node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
+        unused = _module_names(tree) - exported - read
+        if unused:
+            dead[name] = sorted(unused)
+    assert dead == {}

@@ -175,6 +175,16 @@ def test_spectrum_rows_are_the_kernel_calls():
     assert [r.momentum for r in rows] == momentum_transmissivity_pp(system, omegas, spec)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4), (2, 0)])
+def test_spectrum_refuses_a_grid_that_is_not_1d(shape):
+    # a 2-D grid used to pair its rows with the breakdowns of its first
+    # frequencies; it is refused by shape, before the table-range check
+    table = LayerStack(Tabulated([1e13, 2e13], [4 + 1j, 4 + 1j], [1 + 0j, 1 + 0j]))
+    for system in (GapSystem(BB, BB, 1e-7), GapSystem(table, BB, 1e-7)):
+        with pytest.raises(ValueError, match=re.escape(f"must be 1-D, got shape {shape}")):
+            spectrum(system, np.full(shape, 1e14))
+
+
 def _table_1e13_1e15():
     w = np.array([1e13, 1e14, 1e15])
     return Tabulated(w, np.array([4 + 0.5j, 3 + 0.3j, 2 + 0.1j]), np.ones(3, complex))
