@@ -12,7 +12,9 @@ Supported geometries are mutually fully visible pairs; occlusion is not
 modeled, matching the free-space limit itself.  Both routes first scan the
 triangle centroids on a cell grid: two centroids within 1e-12 sqrt(mean
 mesh area) refuse the meshes as touching (a sampled proxy for a shared
-point), and pairs closer than three triangle diameters are near.  By
+point), and for the dyadic route pairs closer than three triangle
+diameters are near; the view factor, which needs no near pair, scans
+cells only as wide as the touching distance.  By
 Stokes' theorem on both surfaces, a view factor is then a double contour
 integral of ln r over the mesh boundaries' runs of collinear edges.
 
@@ -232,14 +234,22 @@ def _blocks(n: int, per_item: int):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_order(quad_order: int) -> None:
+    if quad_order not in TRIANGLE_RULES:
+        raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
+
+
+def _near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int | None) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) index arrays, sorted by (i, j), of the triangle pairs whose
     centroid distance is under _NEAR_FACTOR larger diameters.  Checks
     quad_order first; refuses the meshes as touching (a proxy for a shared
     point) when two centroids lie within 1e-12 sqrt(mean mesh area).  Both
-    tests see only m2 centroids in the 27 grid cells around an m1 centroid."""
-    if quad_order not in TRIANGLE_RULES:
-        raise ValueError(f"unsupported quad_order {quad_order}; have {sorted(TRIANGLE_RULES)}")
+    tests see only m2 centroids in the 27 grid cells around an m1 centroid.
+    quad_order=None, for a caller with no triangle rule, scans at the touch
+    distance alone and finds no near pair."""
+    if quad_order is not None:
+        _check_order(quad_order)
+    near_factor = 0.0 if quad_order is None else _NEAR_FACTOR
     c1, c2 = m1.centroids(), m2.centroids()
     d1, d2 = m1.diameters(), m2.diameters()
     touch = 1e-12 * math.sqrt((m1.area + m2.area) / 2.0)
@@ -249,7 +259,7 @@ def _near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int) -> tuple[np.ndarray, 
     # rounding never puts a pair within reach two cells apart and a key packs
     # three 21-bit cell indices; overflowing coordinates put every centroid
     # in one cell, an all-pairs scan
-    q /= (1 + 1e-9) * np.max([_NEAR_FACTOR * max(d1.max(), d2.max()), touch, q.max() / 2**20])
+    q /= (1 + 1e-9) * np.max([near_factor * max(d1.max(), d2.max()), touch, q.max() / 2**20])
     q = q if np.isfinite(q).all() else np.zeros_like(q)
     weights = np.array([2**42, 2**21, 1])
     key1, key2 = np.split((np.floor(q).astype(np.int64) + 1) @ weights, [len(c1)])
@@ -265,7 +275,7 @@ def _near_pairs(m1: TriMesh, m2: TriMesh, quad_order: int) -> tuple[np.ndarray, 
         cdist = np.linalg.norm(c1[i] - c2[j], axis=1)
         if not np.all(cdist > touch):
             raise ValueError("meshes touch or overlap (vanishing pair distance)")
-        near = cdist < _NEAR_FACTOR * np.maximum(d1[i], d2[j])
+        near = cdist < near_factor * np.maximum(d1[i], d2[j])
         found.append(i[near] * len(c2) + j[near])
     return np.divmod(np.sort(np.concatenate(found)), len(c2))
 
@@ -355,7 +365,8 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
     does not change the value (it sets the dyadic route's rule).  Both
     meshes in one plane give exactly 0, and so does a closed mesh.
     """
-    _near_pairs(m1, m2, quad_order)
+    _check_order(quad_order)
+    _near_pairs(m1, m2, None)   # only the touch test
     rel = np.concatenate([m.vertices[m.triangles].reshape(-1, 3) for m in (m1, m2)])
     rel -= rel[0]
     # squared extent of both meshes, the unit of ln r: any unit cancels over

@@ -12,14 +12,18 @@ panel errors is at most max(rtol * |total|, floor), as in QUADPACK's QAG,
 with one absolute floor per integral.
 Each sweep of a failing integral bisects every panel whose error exceeds
 its tolerance over its panel count and evaluates all new panels in one
-pass, the batched idiom of quad_vec: calls of at most 96 panels, then the
-rule over all of them at once.  Vector integrands (both polarizations)
-pass the test component by component; a batch of integrals (one per
-frequency or boundary run) shares each sweep in calls of whole panels,
-each row with its own seeds and convergence.  Noisy integrands (the
-frequency integrals over inner quadratures) may keep the older test
-instead: each panel's bare Kronrod-Gauss difference against the whole
-tolerance.  Kronrod nodes are interior, so endpoints are never evaluated.
+pass, the batched idiom of quad_vec, in calls of at most 96 panels.  Each
+call's weighted sums (Kronrod and Gauss in one contraction of both weight
+rows with the values, then resasc's) are formed before the next call, so
+no temporary of the values outgrows one call however large a sweep grows;
+QK15's formula then runs once over the sweep's sums.  Vector integrands
+(both polarizations) pass the test component by component; a batch of
+integrals (one per frequency or boundary run) shares each sweep in calls
+of whole panels, each row with its own seeds and convergence.  Noisy
+integrands (the frequency integrals over inner quadratures) may keep the
+older test instead: each panel's bare Kronrod-Gauss difference against the
+whole tolerance.  Kronrod nodes are interior, so endpoints are never
+evaluated.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ _XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])          # 15 ascending n
 _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:15:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])   # Gauss weights on shared nodes
+_WKG = np.stack([_WK, _WG])   # Kronrod and Gauss sums in one contraction
 _NODES = len(_XK)   # abscissae per panel
 
 
@@ -87,7 +92,9 @@ class IntegrationSpec:
         if not (self.rtol > 0.0 and math.isfinite(self.rtol)):
             raise ValueError(f"rtol must be positive, got {self.rtol!r}")
         if not (self.abs_floor >= 0.0):
-            raise ValueError("abs_floor must be >= 0")
+            raise ValueError(f"abs_floor must be >= 0, got {self.abs_floor!r}")
+        if self.abs_floor == math.inf:   # its tolerance would pass every panel
+            raise ValueError(f"abs_floor must be finite, got {self.abs_floor!r}")
         if not isinstance(self.max_subdivisions, numbers.Integral):
             raise ValueError(f"max_subdivisions must be an integer, "
                              f"got {self.max_subdivisions!r}")
@@ -125,22 +132,35 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray,
                  raw_error: bool):
     """Kronrod values and error estimates, (panels, components), and whether
     f returned one value per abscissa.  The estimate is QK15's, or with
-    raw_error the bare Kronrod-Gauss difference; only the calls of f are chunked."""
+    raw_error the bare Kronrod-Gauss difference.  Each call's weighted sums
+    are formed before the next call, so no temporary of the integrand's
+    values outgrows one call; QK15's formula then runs once over the sums."""
     half = 0.5 * (hi - lo)[:, None]
-    x = 0.5 * (hi + lo)[:, None] + half * _XK
-    fx = [np.asarray(f(x[i:i + _PANELS_PER_CALL].ravel(),
-                       np.repeat(row[i:i + _PANELS_PER_CALL], _NODES)), dtype=float)
-          for i in range(0, len(lo), _PANELS_PER_CALL)]
-    scalar = fx[-1].ndim == 1
-    fx = np.concatenate(fx).reshape(len(lo), _NODES, -1)
-    finite = np.isfinite(fx).all(axis=2)
-    if not finite.all():
-        raise ValueError(f"non-finite integrand value near x={x[~finite][0]!r}")
-    k15 = np.einsum("pic,i->pc", fx, _WK)
-    raw = np.abs(half * (k15 - np.einsum("pic,i->pc", fx, _WG)))
+    mid = 0.5 * (hi + lo)[:, None]
+    kg, res = [], []
+    for s in (slice(i, i + _PANELS_PER_CALL) for i in range(0, len(lo), _PANELS_PER_CALL)):
+        x = mid[s] + half[s] * _XK
+        fx = np.asarray(f(x.ravel(), np.repeat(row[s], _NODES)), dtype=float)
+        scalar = fx.ndim == 1
+        # one row of 15 values per (component, panel), without a copy when
+        # f returns a transposed (components, points) array, as the gap
+        # kernel does
+        m = fx.T.reshape(-1, _NODES)
+        if not np.isfinite(m).all():
+            bad = ~np.isfinite(fx).reshape(x.size, -1).all(axis=1)
+            raise ValueError(f"non-finite integrand value near x={x.ravel()[bad][0]!r}")
+        # einsum, unlike BLAS, sums each row alike wherever it sits, so a
+        # batch row stays bitwise its integral done alone
+        sums = np.einsum("ri,ki->kr", m, _WKG)   # the K15 and G7 sums
+        kg.append(sums.reshape(2, -1, len(x)))
+        if not raw_error:   # resasc's: the Kronrod sum of |f - mean f|
+            res.append(np.einsum("ri,i->r", np.abs(m - 0.5 * sums[0, :, None]), _WK)
+                       .reshape(-1, len(x)))
+    k15, g7 = np.concatenate(kg, axis=2).transpose(0, 2, 1)   # (panels, components) each
+    raw = np.abs(half * (k15 - g7))
     if raw_error:
         return half * k15, raw, scalar
-    resasc = np.abs(half) * np.einsum("pic,i->pc", np.abs(fx - 0.5 * k15[:, None, :]), _WK)
+    resasc = np.abs(half) * np.concatenate(res, axis=1).T
     ratio = np.divide(200.0 * raw, resasc, out=np.ones_like(raw), where=resasc > 0.0)
     return (half * k15, np.where(resasc > 0.0, resasc * np.minimum(ratio, 1.0) ** 1.5, raw),
             scalar)
@@ -187,8 +207,8 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     is at most max(rtol * |its total|, floor).  Until it does, each sweep
     bisects every panel on which some failing component's error exceeds
     that tolerance over the panel count, and evaluates the new panels in
-    one pass: f is called on at most 96 panels at a time, and their values
-    and error estimates are formed once over all of them.  The budget is
+    one pass: f is called on at most 96 panels at a time, and each call's
+    weighted sums are formed before the next.  The budget is
     max_subdivisions bisections per component; when it runs short, the
     panels furthest over their share go first.  initial_edges seeds the
     panel layout (useful to resolve known scales before adaptivity
@@ -236,6 +256,8 @@ def adaptive_integrate(f: Callable[..., np.ndarray],
     if not (floor >= 0.0).all():   # NaN too: its tolerance would pass every panel
         raise ValueError(f"abs_floor must be >= 0, one number or one per row ({n_rows}), "
                          f"got {abs_floor!r}")
+    if (floor == math.inf).any():   # and so would an infinite one
+        raise ValueError(f"abs_floor must be finite, got {abs_floor!r}")
     floor = np.maximum(spec.abs_floor, floor)
     lo, hi, row, seeds = _seed_panels(a, b, initial_edges, n_rows)
     vals, errs, scalar = _eval_panels(g, lo, hi, row, per_panel)

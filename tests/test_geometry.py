@@ -277,6 +277,26 @@ def test_view_factor_builds_no_all_pairs_array(m2):
     assert _traced_peak_mb(lambda: view_factor(m1, m2, quad_order=1)) < 6.0
 
 
+def _fan_disc(z: float, n: int, flip: bool = False) -> TriMesh:
+    """Unit disc in the plane z as n triangles about its centre."""
+    a = 2.0 * math.pi * np.arange(n) / n
+    verts = np.vstack([[0.0, 0.0, z], np.stack([np.cos(a), np.sin(a), np.full(n, z)], 1)])
+    i = np.arange(n)
+    tris = np.stack([np.zeros(n, dtype=int), 1 + i, 1 + (i + 1) % n], 1)
+    return TriMesh(verts, tris[:, ::-1] if flip else tris)
+
+
+def test_view_factor_scans_only_at_the_touch_distance():
+    # every pair of these fan triangles (diameter 1) is near: a scan at the
+    # near reach gathered all 512^2 of them, a traced peak of 9.6 MB; the
+    # boundary sum's run coupling holds two 512 x 512 float arrays at once
+    n = 512
+    m1, m2 = _fan_disc(0.0, n), _fan_disc(1.0, n, flip=True)
+    assert geometry._near_pairs(m1, m2, 4)[0].size == n * n
+    assert geometry._near_pairs(m1, m2, None)[0].size == 0
+    assert _traced_peak_mb(lambda: view_factor(m1, m2)) <= 3 * n * n * 8 / 1e6
+
+
 def test_small_blocks_still_reject_touching_meshes(monkeypatch):
     monkeypatch.setattr(geometry, "_BLOCK", 101)
     m = rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 4, 4)

@@ -410,6 +410,17 @@ def test_spec_refuses_non_integer_budgets_and_non_pair_windows(kwargs, message):
     assert IntegrationSpec(max_subdivisions=np.int64(5)).max_subdivisions == 5
 
 
+@pytest.mark.parametrize("floor", [math.inf, np.array([1e-12, math.inf])],
+                         ids=["scalar", "one-row"])
+def test_an_infinite_floor_is_refused_by_name(floor):
+    # an infinite floor passed 1/sqrt(x) on its seed panel: 1.9543, converged
+    with pytest.raises(ValueError, match=re.escape("abs_floor must be finite, got ")):
+        adaptive_integrate(lambda x, row: 1.0 / np.sqrt(x), 0.0, 1.0, abs_floor=floor,
+                           batch=np.size(floor))
+    with pytest.raises(ValueError, match=re.escape("abs_floor must be finite, got inf")):
+        IntegrationSpec(abs_floor=math.inf)
+
+
 def test_batch_integrand_receives_whole_panels():
     # the gap kernel views each call as (panels, 15) with one row per panel
     calls = []

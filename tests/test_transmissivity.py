@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -295,33 +296,40 @@ def test_breakdown_counts_its_integrand_points():
     assert [bd.neval for bd in bds] == [15 * (2 + 12)] * 2
 
 
-def _seed_panels(body1, body2, omega=1e14, gap=1e-6):
+def _seed_panels(body1, body2, omega=1e14, gap=1e-6, rtol=1e-8):
     """Seed panels of both branches: with no bisection budget every panel
     of an integral is a seed panel, 15 points each."""
     bd = energy_transmissivity_pp(GapSystem(body1, body2, gap), omega,
-                                  IntegrationSpec(max_subdivisions=0))
+                                  IntegrationSpec(rtol=rtol, max_subdivisions=0))
     assert bd.neval % 15 == 0
     return bd.neval // 15
 
 
 def test_light_lines_seed_both_branches():
     # Re eps = 2.25 puts a light line at t = gap k0 sqrt(1.25) ~ 0.37 on the
-    # evanescent branch, Re eps = 0.36 one at u = 0.6 on the propagating one
+    # evanescent branch, Re eps = 0.36 one at u = 0.6 on the propagating one.
+    # Their branch points lie 0.015 and 0.083 off the real axis, which rtol
+    # 1e-8 sees: each line gives c and c +- delta, c +- 4 delta (t) or c and
+    # c +- delta (u), 5 and 3 edges within c/2 of the branch point
     glass, thin = LayerStack(Constant(2.25 + 0.1j)), LayerStack(Constant(0.36 + 0.1j))
     assert _seed_panels(BB, BB) == 2 + 12
-    assert _seed_panels(glass, BB) == 2 + 13
-    assert _seed_panels(thin, BB) == 3 + 12
+    assert _seed_panels(glass, BB) == 2 + 17
+    assert _seed_panels(thin, BB) == 5 + 12
     # both bodies' lines form one set, the same under a body swap
-    assert _seed_panels(glass, thin) == _seed_panels(thin, glass) == 3 + 13
+    assert _seed_panels(glass, thin) == _seed_panels(thin, glass) == 5 + 17
     # a film counts, a medium behind a black film does not
-    assert _seed_panels(LayerStack(Black(), ((Constant(2.25 + 0.1j), 1e-7),)), BB) == 2 + 13
+    assert _seed_panels(LayerStack(Black(), ((Constant(2.25 + 0.1j), 1e-7),)), BB) == 2 + 17
     assert _seed_panels(LayerStack(Constant(2.25 + 0.1j), ((Black(), 1e-7),)), BB) == 2 + 12
     # one line for a medium on both sides, none on a seed edge (u = 0.5),
     # beyond the cutoff (t ~ 37) or for Re eps <= 0
-    assert _seed_panels(glass, glass) == 2 + 13
-    assert _seed_panels(LayerStack(Constant(0.25 + 0.1j)), BB) == 2 + 12
+    assert _seed_panels(glass, glass) == 2 + 17
+    assert _seed_panels(LayerStack(Constant(0.25 + 1e-12j)), BB) == 2 + 12
     assert _seed_panels(glass, BB, gap=1e-4) == 2 + 12
     assert _seed_panels(LayerStack(Constant(-3.0 + 0.1j)), BB) == 2 + 12
+    # a single edge where rtol cannot see the offset, (delta/c)^(3/2) < rtol
+    assert _seed_panels(LayerStack(Constant(2.25 + 1e-12j)), BB) == 2 + 13
+    assert _seed_panels(glass, BB, rtol=1e-2) == 2 + 13
+    assert _seed_panels(thin, BB, rtol=0.1) == 3 + 12
 
 
 @pytest.mark.parametrize("eps, gap, omega", [(1 + 1e-12 + 0.1j, 1e-150, 1e-145),
@@ -334,6 +342,64 @@ def test_light_lines_at_the_edges_of_the_float_range(eps, gap, omega):
     bd = energy_transmissivity_pp(GapSystem(st, st, gap), omega,
                                   IntegrationSpec(max_subdivisions=5))
     assert math.isfinite(bd.total) and bd.neval >= 15 * (2 + 12)
+
+
+# Integrand points summed over 5 log frequencies in 5e13-2e14 rad/s, equal
+# Constant(re + i x) bodies across 1 um, when every light line was one seed
+# edge: (energy at rtol 1e-3, at 1e-8, momentum at 1e-3, at 1e-8)
+_ONE_EDGE_NEVAL = {
+    (2.25, 1e-1): (1_425, 2_205, 1_485, 2_325),
+    (2.25, 1e-2): (1_695, 2_865, 2_265, 3_135),
+    (2.25, 1e-3): (1_275, 3_525, 2_925, 3_705),
+    (2.25, 3e-4): (1_365, 3_885, 3_285, 4_155),
+    (2.25, 1e-4): (1_365, 4_155, 3_135, 4_455),
+    (2.25, 3e-5): (1_365, 4_395, 3_195, 4_845),
+    (2.25, 1e-5): (1_365, 3_015, 3_225, 5_145),
+    (2.25, 1e-6): (1_365, 1_635, 2_265, 5_655),
+    (2.25, 1e-9): (1_365, 1_635, 2_265, 4_275),
+    (2.25, 0.0): (1_365, 1_635, 2_265, 3_495),
+    (12.0, 1e-1): (1_335, 2_745, 2_055, 3_165),
+    (12.0, 1e-2): (1_155, 3_345, 2_595, 3_855),
+    (12.0, 1e-3): (1_155, 3_885, 2_745, 4_575),
+    (12.0, 3e-4): (1_155, 2_985, 2_625, 4_905),
+    (12.0, 1e-4): (1_155, 1_365, 2_565, 5_235),
+    (12.0, 3e-5): (1_155, 1_305, 2_235, 5_565),
+    (12.0, 1e-5): (1_155, 1_275, 2_055, 5_775),
+    (12.0, 1e-6): (1_155, 1_275, 2_055, 5_955),
+    (12.0, 1e-9): (1_155, 1_275, 2_055, 3_705),
+    (12.0, 0.0): (1_155, 1_275, 2_055, 3_705),
+}
+
+
+@pytest.mark.parametrize("re_eps", [2.25, 12.0])
+def test_graded_light_lines_never_cost_points(re_eps):
+    # graded seeds where rtol cannot see the branch point's offset once took
+    # eps = 2.25 + 1e-12i at 1e14 rad/s and rtol 1e-8 from 315 to 855 points
+    omegas = np.geomspace(5e13, 2e14, 5)
+    for (re_, x), before in _ONE_EDGE_NEVAL.items():
+        if re_ != re_eps:
+            continue
+        body = LayerStack(Constant(complex(re_eps, x)))
+        system = GapSystem(body, body, 1e-6)
+        now = tuple(sum(bd.neval for bd in kernel(system, omegas, IntegrationSpec(rtol=rtol)))
+                    for kernel in (energy_transmissivity_pp, momentum_transmissivity_pp)
+                    for rtol in (1e-3, 1e-8))
+        assert all(n <= b for n, b in zip(now, before)), (x, now, before)
+
+
+def test_sic_transmissivity_traced_peak_holds():
+    # the traced peak, which host noise cannot move, was 820_754 bytes when
+    # the rule was formed over a whole sweep's panels with one-edge light lines
+    system = GapSystem(LayerStack(SIC), LayerStack(SIC), 50e-9)
+    omegas, spec = np.geomspace(1e13, 1e15, 64), IntegrationSpec(rtol=1e-8)
+    energy_transmissivity_pp(system, omegas[:2], spec)   # first-call state
+    tracemalloc.start()
+    try:
+        energy_transmissivity_pp(system, omegas, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 820_754
 
 
 # SiC/SiC 50 nm at rtol 1e-8 on the 400-point log grid 1e13-1e15 rad/s:
