@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import CONSTANTS, _check_temperatures, _positive_omega, planck_energy
-from .quadrature import IntegrationSpec, adaptive_integrate
+from .quadrature import _NODES, IntegrationSpec, adaptive_integrate
 from .spectral import _outer_edges, auto_window
 
 __all__ = [
@@ -378,7 +378,6 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
         return 0.0
     lb = np.linalg.norm(db, axis=1)
     eb = db / lb[:, None]
-    coupling = (ma[:, None] * mb) * (da @ eb.T) / (2.0 * math.pi * m1.area)   # m1 m2 L1 e1.e2
 
     def g(u, h):   # antiderivative of ln(sqrt(u^2 + h^2) / ell) in u
         r2 = np.maximum(u * u + h * h, np.finfo(float).tiny)
@@ -389,13 +388,20 @@ def view_factor(m1: TriMesh, m2: TriMesh, quad_order: int = 4) -> float:
         # a shared edge or corner puts the log singularity
         s = (3.0 - 2.0 * tau) * tau * tau
         out = np.zeros(len(tau))
+        # f gets whole panels, one run of mesh 1 each
+        panel = row[::_NODES]
+        m_row, d_row = ma[panel, None], da[panel]
         for j in _blocks(len(b), 3 * len(tau)):
             # outer point minus inner run start, (node, run 2, xyz): about
             # _BLOCK entries, which bounds every temporary of the block
             d = (a[row, None] - b[None, j]) + s[:, None, None] * da[row, None]
             s0 = np.einsum("qjx,jx->qj", d, eb[j])                  # along run 2
             h = np.linalg.norm(d - s0[..., None] * eb[j], axis=2)   # off its line
-            out += np.einsum("qj,qj->q", g(lb[j] - s0, h) - g(-s0, h), coupling[row, j])
+            # m1 m2 L1 e1.e2 per panel and run 2, formed per block: a runs1 x
+            # runs2 array of them would outgrow the block
+            coupling = (m_row * mb[j]) * (d_row @ eb[j].T) / (2.0 * math.pi * m1.area)
+            out += np.einsum("pnj,pj->pn", (g(lb[j] - s0, h) - g(-s0, h))
+                             .reshape(len(panel), _NODES, -1), coupling).ravel()
         return out * 6.0 * tau * (1.0 - tau)
 
     res = adaptive_integrate(f, 0.0, 1.0, _BOUNDARY_SPEC, abs_floor=1e-15 / len(a),

@@ -87,11 +87,11 @@ def kz(eps: complex, mu: complex, omega: float, krho) -> complex:
 
 def _fresnel(w1, kz1, w2, kz2):
     # r = (w2 kz1 - w1 kz2) / (w2 kz1 + w1 kz2); w is mu for s, eps for p
-    num = w2 * kz1 - w1 * kz2
-    den = w2 * kz1 + w1 * kz2
+    a, b = w2 * kz1, w1 * kz2
+    den = a + b
     if np.any(den == 0.0):
         raise DegenerateInterfaceError("vanishing Fresnel denominator")
-    return num / den
+    return (a - b) / den
 
 
 def interface_reflection(eps_from: complex, mu_from: complex,
@@ -172,9 +172,9 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
     r = _fresnel(weights[n - 2], kzs[n - 2], weights[n - 1], kzs[n - 1])
     for j in range(n - 3, -1, -1):
         d_next = chain[j + 1][2]
-        phase = np.exp(2j * kzs[j + 1] * d_next)
+        r = r * np.exp(2j * kzs[j + 1] * d_next)
         r_if = _fresnel(weights[j], kzs[j], weights[j + 1], kzs[j + 1])
-        r = (r_if + r * phase) / (1.0 + r_if * r * phase)
+        r = (r_if + r) / (1.0 + r_if * r)
     if pol is None:
         return r
     r = r[0 if pol is Polarization.S else 1]

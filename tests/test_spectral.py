@@ -300,11 +300,14 @@ def test_sic_heat_flux_inner_cost():
 
 def test_gold_heat_flux_outer_cost():
     # far field: Fabry-Perot fringes drive the frequency integral, which took
-    # 960 nodes on 32 blind outer seed panels
+    # 960 nodes on 32 blind outer seed panels; the inner cost as a count host
+    # noise cannot move: 872 790 points before each fringe was seeded as a
+    # graded pole
     ref = 3.6892532046548543
     gold = LayerStack(Drude(eps_inf=1.0, omega_p=1.37e16, gamma=4.05e13))
     res = heat_flux(GapSystem(gold, gold, 3e-6, 400.0, 300.0), IntegrationSpec(rtol=1e-6))
     assert res.converged and res.omega_nodes == 660
+    assert res.neval <= 680_000
     assert abs(res.value - ref) <= 1e-6 * ref
 
 

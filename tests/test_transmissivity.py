@@ -444,32 +444,141 @@ _GRID_PAIRS = {
 }
 
 
+def _assert_within_tolerance(kernel, system, omegas, got, refs, rtol):
+    """Every converged channel lies within rtol of the same call at rtol
+    1e-12, plus the noise floor: 1e-13 of its branch's Landauer ceiling."""
+    k0, gap, t_max = omegas / C, system.gap, gaprad.transmissivity.EVANESCENT_CUTOFF
+    ceil_prop = k0 * k0 / (4 * math.pi)
+    ceil_evan = np.full_like(omegas, t_max ** 2 / (4 * math.pi * gap ** 2))
+    if kernel is momentum_transmissivity_pp:
+        ceil_prop = ceil_prop * 2 * k0 / omegas
+        ceil_evan = ceil_evan * 4 * t_max / (3 * omegas * gap)
+    for i, (bd, ref) in enumerate(zip(got, refs)):
+        if not bd.converged:
+            continue
+        for channel in ("prop_s", "prop_p", "evan_s", "evan_p"):
+            ceiling = (ceil_prop if channel.startswith("prop") else ceil_evan)[i]
+            want = getattr(ref, channel)
+            assert abs(getattr(bd, channel) - want) <= rtol * abs(want) + 1e-13 * ceiling, (
+                gap, kernel.__name__, rtol, omegas[i], channel)
+
+
 @pytest.mark.parametrize("pair", _GRID_PAIRS)
 def test_inner_integrals_meet_their_tolerance_on_a_grid(pair):
-    # every converged channel lies within rtol of the same call at rtol
-    # 1e-12, plus the noise floor: 1e-13 of its branch's Landauer ceiling
     omegas = np.geomspace(3e13, 6e14, 41)
-    k0, t_max = omegas / C, gaprad.transmissivity.EVANESCENT_CUTOFF
     for gap in (10e-9, 50e-9, 200e-9, 1e-6, 3e-6):
         system = GapSystem(*_GRID_PAIRS[pair], gap)
         for kernel in (energy_transmissivity_pp, momentum_transmissivity_pp):
-            ceil_prop = k0 * k0 / (4 * math.pi)
-            ceil_evan = np.full_like(omegas, t_max ** 2 / (4 * math.pi * gap ** 2))
-            if kernel is momentum_transmissivity_pp:
-                ceil_prop = ceil_prop * 2 * k0 / omegas
-                ceil_evan = ceil_evan * 4 * t_max / (3 * omegas * gap)
             refs = kernel(system, omegas, IntegrationSpec(rtol=1e-12))
             for rtol in (1e-3, 1e-6, 1e-9):
                 got = kernel(system, omegas, IntegrationSpec(rtol=rtol))
-                for i, (bd, ref) in enumerate(zip(got, refs)):
-                    if not bd.converged:
-                        continue
-                    for channel in ("prop_s", "prop_p", "evan_s", "evan_p"):
-                        ceiling = (ceil_prop if channel.startswith("prop") else ceil_evan)[i]
-                        want = getattr(ref, channel)
-                        assert abs(getattr(bd, channel) - want) <= (
-                            rtol * abs(want) + 1e-13 * ceiling), (
-                            gap, kernel.__name__, rtol, omegas[i], channel)
+                _assert_within_tolerance(kernel, system, omegas, got, refs, rtol)
+
+
+def _no_fringes(*args):
+    return np.empty(0, dtype=int), np.empty(0)
+
+
+# far-field gaps: Fabry-Perot fringes of a good reflector (gold), a polar
+# dielectric (SiC), a film on gold and a mixed pair
+_FRINGE_PAIRS = {
+    "gold-gold": (LayerStack(GOLD), LayerStack(GOLD)),
+    "sic-sic": (LayerStack(SIC), LayerStack(SIC)),
+    "film-sic": (FILM, LayerStack(SIC)),
+    "gold-sic": (LayerStack(GOLD), LayerStack(SIC)),
+}
+
+
+@pytest.mark.parametrize("pair", _FRINGE_PAIRS)
+def test_fringe_seeds_never_cost_points(monkeypatch, pair):
+    # the same calls without fringe seeds are the baseline; gating fringes
+    # at a quarter of their spacing instead of an eighth raised four of
+    # these sums, film/SiC and gold/SiC at 1 um and rtol 1e-4, by 1.4-3.5 %
+    omegas = np.geomspace(5e13, 3e15, 24)
+    for gap in (1e-6, 3e-6, 10e-6):
+        system = GapSystem(*_FRINGE_PAIRS[pair], gap)
+        for kernel in (energy_transmissivity_pp, momentum_transmissivity_pp):
+            refs = kernel(system, omegas, IntegrationSpec(rtol=1e-12))
+            for rtol in (1e-4, 1e-7):
+                spec = IntegrationSpec(rtol=rtol)
+                got = kernel(system, omegas, spec)
+                with monkeypatch.context() as m:
+                    m.setattr(gaprad.transmissivity, "_fringe_edges", _no_fringes)
+                    before = kernel(system, omegas, spec)
+                assert all(bd.converged for bd in got)
+                assert sum(bd.neval for bd in got) <= sum(bd.neval for bd in before), (
+                    gap, kernel.__name__, rtol)
+                _assert_within_tolerance(kernel, system, omegas, got, refs, rtol)
+
+
+def test_fringe_seeds_keep_batch_rows_bitwise_and_swaps_reciprocal():
+    # 65 frequencies make two groups; fringes depend on their row's omega only
+    gold = LayerStack(GOLD)
+    omegas, spec = np.geomspace(5e13, 3e15, 65), IntegrationSpec(rtol=1e-6)
+    assert len(gaprad.transmissivity._fringe_edges((gold,), omegas, 10e-6, 4000)[1])
+    system = GapSystem(gold, gold, 10e-6)
+    batch = energy_transmissivity_pp(system, omegas, spec)
+    for w, bd in zip(omegas, batch):
+        assert _bits(bd) == _bits(energy_transmissivity_pp(system, float(w), spec))
+    # R1 R2 is symmetric: a body swap keeps the panels
+    system = GapSystem(FILM, LayerStack(SIC), 10e-6)
+    for a, b in zip(energy_transmissivity_pp(system, omegas, spec),
+                    energy_transmissivity_pp(system.swapped(), omegas, spec)):
+        assert a.neval == b.neval and abs(a.total - b.total) <= 1e-12 * abs(a.total)
+
+
+def test_fringe_seeds_keep_away_from_grazing_incidence():
+    # poles and edges at v = kz / k0 below 1e-6 put edges at u that round to
+    # 1, and so Kronrod nodes at krho = w/c, where gold's kernel is 0/0
+    # ("non-finite integrand value near x=1.0"); with poles kept down to
+    # v = 1e-300, thousands of this grid's edges rounded to u = 1
+    gold = LayerStack(GOLD)
+    _, u = gaprad.transmissivity._fringe_edges((gold,), np.geomspace(5e13, 3.2e15, 400),
+                                               30e-6, 4000)
+    assert len(u) and np.all(u < math.sqrt(1.0 - 1e-12))
+    for kernel in (energy_transmissivity_pp, momentum_transmissivity_pp):
+        bd = kernel(GapSystem(gold, gold, 30e-6), 3.1e15, IntegrationSpec(rtol=1e-8))
+        assert bd.converged and math.isfinite(bd.total)
+
+
+def test_rows_beyond_the_subdivision_budget_take_no_fringe(monkeypatch):
+    # k0 gap / pi = 3183 at a 1 mm gap and 3e15 rad/s: above a budget of
+    # 3000 subdivisions the row gets the seeds it had without fringes, and
+    # the finder takes no reflection
+    tm = gaprad.transmissivity
+    gold, omegas = (LayerStack(GOLD),), np.array([3e15])
+    spec = IntegrationSpec(max_subdivisions=3000)
+    assert len(tm._fringe_edges(gold, omegas, 1e-3, 4000)[1]) > 1000
+    with monkeypatch.context() as m:
+        m.setattr(tm, "_fringe_edges", _no_fringes)
+        before = tm._seed_edges(gold, omegas, 1e-3, spec)
+    monkeypatch.setattr(tm, "stack_reflection", _no_integral)
+    after = tm._seed_edges(gold, omegas, 1e-3, spec)
+    assert all(np.array_equal(a, b) for a, b in zip(before[0] + before[1], after[0] + after[1]))
+
+
+@pytest.mark.parametrize("fault", ["degenerate", "nan"])
+def test_a_failing_finder_point_drops_only_its_rows_fringes(monkeypatch, fault):
+    tm = gaprad.transmissivity
+    gold, omegas = (LayerStack(GOLD),), np.geomspace(1e15, 3e15, 5)
+    rows, edges = tm._fringe_edges(gold, omegas, 3e-6, 4000)
+    assert set(rows.tolist()) == set(range(5))
+    reflection = tm.stack_reflection
+
+    def failing(body, pol, omega, krho, *args):
+        # at one finder point of row 2, its first fringe's s column
+        r = reflection(body, pol, omega, krho, *args)
+        at = np.argmax(omega == omegas[2])
+        if omega[at, 0] == omegas[2]:
+            if fault == "degenerate":
+                raise gaprad.planar.DegenerateInterfaceError("vanishing Fresnel denominator")
+            r[:, at, 0] = np.nan
+        return r
+
+    monkeypatch.setattr(tm, "stack_reflection", failing)
+    rows_after, edges_after = tm._fringe_edges(gold, omegas, 3e-6, 4000)
+    assert np.array_equal(rows_after, rows[rows != 2])
+    assert np.array_equal(edges_after, edges[rows != 2])
 
 
 @pytest.mark.parametrize("omega", [1.75e14, 1.786e14, 1.80e14])
