@@ -497,5 +497,8 @@ def bb_heat_rate(m1: TriMesh, m2: TriMesh, T1: float, T2: float,
         return d_theta * coeff * omegas**2 / (2.0 * math.pi)
 
     res = adaptive_integrate(f, *window, spec, initial_edges=_outer_edges(*window))
+    if not res.converged:
+        raise ValueError(f"the blackbody heat rate's frequency integral did not converge "
+                         f"(error {res.error:.3e} on {res.value:.17g})")
     return HeatRateResult(value=closed, spectral=res.value, viewfactor=F,
                           window=window)

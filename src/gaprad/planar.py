@@ -72,6 +72,11 @@ def _branch_sqrt(arg) -> np.ndarray:
     return np.negative(out, out=out, where=out.imag < 0.0)
 
 
+def _product(a, b):
+    """a b, bitwise _product(b, a): numpy's complex multiply (FMA) rounds a b, b a apart."""
+    return 0.5 * (a * b + b * a)
+
+
 def kz(eps: complex, mu: complex, omega: float, krho) -> complex:
     """z-wavevector sqrt(eps*mu*(w/c)^2 - krho^2) on the physical branch.
 
@@ -146,10 +151,10 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
     polarization is row 0 (s) or row 1 (p) of that same recursion, bitwise;
     it is a complex for scalar omega and krho, an array otherwise.
 
-    kz_host_sq optionally supplies the exact vacuum kz^2 = (w/c)^2 - krho^2
-    (the evanescent-branch quadrature knows it without cancellation); every
-    medium kz is then sqrt(kz_host_sq + (eps*mu - 1)(w/c)^2), so a vacuum-like
-    medium reproduces the host kz exactly.
+    kz_host_sq optionally supplies the exact vacuum kz^2 = (w/c)^2 - krho^2,
+    which the wavevector quadrature knows without cancellation; krho then
+    gives only the shape, and every medium kz is sqrt(kz_host_sq +
+    (eps*mu - 1)(w/c)^2), so a vacuum-like medium reproduces the host kz exactly.
     """
     # the media at omega's own shape, once per frequency; a scalar omega
     # against array krho is an array too, so it rounds as a per-point omega
@@ -160,9 +165,7 @@ def stack_reflection(stack: LayerStack, pol: Polarization | None, omega, krho,
         krho_arr = np.asarray(krho, dtype=float)
         kz_host_sq = (k0 - krho_arr) * (k0 + krho_arr)
     chain = _media_chain(stack, omega)
-    # eps mu by parts, which commute where numpy's complex multiply (FMA) may not
-    emu = [e.real * m.real - e.imag * m.imag + 1j * (e.real * m.imag + e.imag * m.real)
-           for e, m, _ in chain[1:]]
+    emu = [_product(e, m) for e, m, _ in chain[1:]]
     kzs = [_branch_sqrt(kz_host_sq),   # the vacuum host's (eps mu - 1)(w/c)^2 is 0
            *(_branch_sqrt(kz_host_sq + (em - 1.0) * k0 * k0) for em in emu)]
     weights = [np.reshape([m, e], (2,) + (1,) * (len(shape) - np.ndim(m)) + np.shape(m))

@@ -9,11 +9,13 @@ are integrals over the in-plane wavevector, split into propagating
 Equal bodies share one stack reflection per point (R1 = R2), and each
 integrand call evaluates only the factors of the branch its points lie on.
 
-The evanescent branch is integrated in t = |kz_vacuum| * gap, which pins
-the tunneling exponential to unit scale at every gap width; the branch is
-cut off at t = 20 (2t = 40, tail below 5e-18) and seeded with 12 panels,
-[0, 2e-3] and 11 logarithmically spaced ones, the propagating branch (in
-u = krho / k0) with 2 even ones.  Each integral's noise floor is 1e-13 of
+Both branches are integrated in the gap's |kz| (krho dkrho = -kz dkz), and
+each point passes the exact vacuum kz^2 to the reflections: the
+propagating one in v = kz / k0 on one seed panel [0, 1], where the kernel
+is analytic at both ends, the evanescent one in t = |kz| gap, which pins
+the tunneling exponential to unit scale at every gap width, cut off at
+t = 20 (2t = 40, tail below 5e-18) and seeded with 12 panels, [0, 2e-3]
+and 11 logarithmically spaced ones.  Each integral's noise floor is 1e-13 of
 its branch's Landauer ceiling, and each integral must bring the sum of its
 panel errors within its tolerance (see quadrature).  The integrable kink at
 krho = w/c is handled by ending/starting the branches exactly there; panel
@@ -22,7 +24,8 @@ nodes are interior so the point itself is never evaluated.
 Each frequency adds seed edges at the light line of every non-black medium
 of both bodies, where that medium's kz = sqrt(eps mu k0^2 - krho^2) has its
 square-root branch point: b = gap k0 sqrt(eps mu - 1) in t (Re eps mu > 1)
-or b = sqrt(eps mu) in u (0 < Re eps mu < 1).  A lossy medium's b lies
+or b = sqrt(1 - eps mu) in v (Re eps mu < 1; beyond v = 1 for Re eps mu <= 0,
+near it at a polar medium's longitudinal frequency).  A lossy medium's b lies
 delta = |Im b| off the real axis.  Where rtol can see that offset,
 (delta / c)^(3/2) >= rtol with c = Re b, the relative size of the integral
 of |sqrt(x + i delta) - sqrt(x)| over the line's scale, the edges are
@@ -30,17 +33,17 @@ graded toward it: c and c +- delta 4^k while within c/2 and inside the
 branch.  Such a geometric mesh resolves the point in one pass (Schwab,
 p- and hp-Finite Element Methods, 1998), where bisection from one edge took
 about 5 sweeps down to width delta.  Elsewhere the line is one edge at
-krho = k0 sqrt(Re eps mu), where the reflections have a kink.  The two
-bodies' edges form one set, so a body swap keeps the panels.
+c, where the reflections have a kink.  The two bodies' edges form one
+set, so a body swap keeps the panels.
 
-Both grading constants are measured on the spectrum benchmark's 400-point
-SiC/SiC and film/SiC grids at rtol 1e-8, 1 097 820 points with one edge
-per line.  The ratio 2, 3, 4, 6 or 8 gave 895 800, 714 930, 657 540,
-653 160 or 684 300 points.  The gate delta / c >= rtol^(1/2) gave 806 010
-and left the SiC pressure 0.18 rtol off its reference; rtol^(2/3) gave
-the full gain and 1.2e-4 rtol.  Ungated grading, which the gate exists to
-prevent, took eps = 2.25 + 1e-12i at 1e14 rad/s and rtol 1e-8 from 315 to
-855 points.
+Both grading constants are measured, with the propagating branch then in
+u = krho / k0, on the spectrum benchmark's 400-point SiC/SiC and film/SiC
+grids at rtol 1e-8, 1 097 820 points with one edge per line.  The ratio
+2, 3, 4, 6 or 8 gave 895 800, 714 930, 657 540, 653 160 or 684 300
+points.  The gate delta / c >= rtol^(1/2) gave 806 010 and left the SiC
+pressure 0.18 rtol off its reference; rtol^(2/3) gave the full gain and
+1.2e-4 rtol.  Ungated grading, which the gate exists to prevent, took
+eps = 2.25 + 1e-12i at 1e14 rad/s and rtol 1e-8 from 315 to 855 points.
 
 Where k0 gap >= 1, the propagating branch also gets graded seeds at its
 Fabry-Perot poles.  The kernels share the denominator
@@ -48,7 +51,7 @@ Fabry-Perot poles.  The kernels share the denominator
 PRB 4, 3303, 1971), which for |a| < 1 has a pole per fringe n at
 v = (2 pi n - arg a) / (2 k0 gap), delta = ln(1/|a|) / (2 k0 gap) off the
 real axis; fringes lie pi / (k0 gap) apart.  A good reflector such as gold
-has |a| near 1, and bisection from the 2 blind panels took a sweep per
+has |a| near 1, and bisection from the blind panels took a sweep per
 halving down to width delta at every fringe.  Per frequency and
 polarization, n runs over 0 .. floor(k0 gap / pi) + 1, each v from
 min((2 pi n + pi) / (2 k0 gap), 1 - 1e-6) through 3 fixed-point steps
@@ -57,14 +60,13 @@ group's rows, fringes and polarizations; a last reflection at v gives
 delta and the next estimate.  A pole is graded when 1e-6 < v, when
 0 < delta < 1/8 of the spacing, and when it has settled, the next
 estimate within delta/2: v and v +- delta 3^k while within half a
-spacing, mapped to u = sqrt(1 - v^2).  Edges stay at v > 1e-6, where u
-is below 1 by more than the Kronrod nodes need.  A frequency's poles
-depend on its own reflections only, so batch rows keep their seeds, and
-a frequency whose finder meets a degenerate or non-finite reflection
-takes no pole.  Rows above k0 gap = pi max_subdivisions take none, which
-bounds the finder's arrays.
+spacing, seeded in v as they are found.  Edges stay above v = 1e-6, off
+grazing incidence.  A frequency's poles depend on its own reflections
+only, so batch rows keep their seeds, and a frequency whose finder meets
+a degenerate or non-finite reflection takes no pole.  Rows above
+k0 gap = pi max_subdivisions take none, which bounds the finder's arrays.
 
-The fringe constants are measured on gold/gold at 3 um (heat flux at
+The fringe constants are measured in u on gold/gold at 3 um (heat flux at
 rtol 1e-6, 400 K against 300 K, 872 790 inner points without poles) and
 on a ladder of 24 log frequencies in 5e13-3e15 rad/s at rtol 1e-7
 (energy points 54 810 without poles).  Steps 1, 2, 3, 5 and 19 gave
@@ -78,8 +80,8 @@ calls without poles (by up to 3.5 %, all at 1 um and rtol 1e-4); 1/8
 raised none, and cut the grid's totals from 699 150 and 938 610 to
 528 630 and 625 050 points.  Without the settle rule the heat flux took
 767 055 points and 12 of the grid's sums rose.  Poles kept down to
-v = 1e-300 put thousands of edges of a 30 um gold grid at u = 1, where
-the kernel is 0/0.
+v = 1e-300 put thousands of edges of a 30 um gold grid at grazing
+incidence, where (v k0)^2 underflows and the kernel is 0/0.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ import numpy as np
 
 from .materials import CONSTANTS, _check_temperatures, _positive_omega
 from .planar import (DegenerateInterfaceError, LayerStack, Polarization, _media_chain,
-                     stack_reflection)
+                     _product, stack_reflection)
 from .quadrature import _NODES, IntegrationSpec, adaptive_integrate
 
 __all__ = [
@@ -174,7 +176,7 @@ def _branch_pieces(r1, r2, krho, omega, gap, khz=None):
 
     khz optionally overrides the vacuum z-wavevector magnitude (real on the
     propagating branch, decay constant on the evanescent one); the
-    evanescent-branch quadrature supplies it exactly as t/gap.
+    wavevector quadrature supplies it exactly, as v k0 or t / gap.
     """
     k0 = omega / _C
     krho = np.asarray(krho, dtype=float)
@@ -184,7 +186,7 @@ def _branch_pieces(r1, r2, krho, omega, gap, khz=None):
     else:
         khz = np.asarray(khz, dtype=float)
     x = _on_branch(prop, lambda: np.exp(2j * khz * gap), lambda: np.exp(-2.0 * khz * gap))
-    den = np.abs(1.0 - np.asarray(r1) * np.asarray(r2) * x) ** 2
+    den = np.abs(1.0 - _product(np.asarray(r1), np.asarray(r2)) * x) ** 2
     return prop, khz, x, den
 
 
@@ -205,7 +207,7 @@ def energy_integrand(r1, r2, krho, omega: float, gap: float,
     prop, _, x, den = _branch_pieces(r1, r2, krho, omega, gap, khz)
     r1, r2 = np.asarray(r1), np.asarray(r2)
     out = _on_branch(prop, lambda: (1.0 - np.abs(r1) ** 2) * (1.0 - np.abs(r2) ** 2),
-                     lambda: 4.0 * r1.imag * r2.imag * x.real) / den
+                     lambda: 4.0 * (r1.imag * r2.imag) * x.real) / den
     return out if np.ndim(out) else float(out)
 
 
@@ -232,15 +234,16 @@ def momentum_integrand(r1, r2, krho, omega: float, gap: float,
 NOISE_FRACTION = 1e-13
 
 
-# frequencies per batch of wavevector integrals: bounds the panels in flight,
-# about 960 seed panels (64 rows of about 15)
+# frequencies per batch of wavevector integrals, which bounds the panels in
+# flight (64 log frequencies in 1e13-1e15 rad/s seed 1 611 for SiC at 50 nm,
+# 11 840 for gold at 30 um); a test holds a 64-row SiC group's traced peak
 _OMEGA_GROUP = 64
 
 # blind seed panels of the two branches, before each frequency's light lines
-# are added: 2 even ones in u = krho / (w/c), and in t [0, 2e-3] and 11
-# logarithmic ones; every integral must still bring its summed error within
-# its tolerance, so the seeds only set where refinement starts
-_PROP_SEEDS = np.linspace(0.0, 1.0, 3).tolist()
+# and fringes: all of v = kz / (w/c), where the kernel is analytic at both
+# ends, and in t [0, 2e-3] and 11 logarithmic ones; every integral must still
+# meet its tolerance, so the seeds only set where refinement starts
+_PROP_SEEDS = [0.0, 1.0]
 _EVAN_SEEDS = [0.0, *np.geomspace(1e-4 * EVANESCENT_CUTOFF, EVANESCENT_CUTOFF, 12).tolist()]
 # graded light lines, both measured (see the module docstring): edges
 # c +- delta 4^k about a branch point c + i delta, where delta / c >= rtol^(2/3)
@@ -250,8 +253,8 @@ _GRADE_GATE = 2.0 / 3.0
 _T_LINE_MIN = 1e3 * np.finfo(float).tiny
 # Fabry-Perot poles, all measured (see the module docstring): fixed-point
 # steps of the finder, the grading ratio, the widest pole graded (a fraction
-# of the fringe spacing), and the smallest v = kz / k0 of a pole or an edge,
-# below which its u rounds to 1
+# of the fringe spacing), and the smallest v = kz / k0 of a pole or a
+# propagating edge, off grazing incidence, where a good reflector's kernel is 0/0
 _FRINGE_STEPS = 3
 _FRINGE_RATIO = 3.0
 _FRINGE_GATE = 1.0 / 8.0
@@ -306,14 +309,14 @@ def _graded(c, d, half, ratio):
     return np.concatenate(out_idx), np.concatenate(out_edges)
 
 
-def _line_edges(row, b, line, rtol):
+def _line_edges(row, b, rtol):
     """(row, edge) seed edges of light lines in their branch variable: each
-    line alone, or, where rtol can see how far its branch point b lies off
-    the real axis, graded toward b within c/2, c = Re b."""
+    line at c = Re b, or, where rtol can see how far its branch point b lies
+    off the real axis, graded toward b within c/2."""
     c, d = b.real, np.abs(b.imag)
     graded = (d > 0.0) & (d >= c * rtol ** _GRADE_GATE)
     i, edges = _graded(c[graded], d[graded], 0.5 * c[graded], _GRADE_RATIO)
-    return np.concatenate([row[~graded], row[graded][i]]), np.concatenate([line[~graded], edges])
+    return np.concatenate([row[~graded], row[graded][i]]), np.concatenate([c[~graded], edges])
 
 
 def _round_trip(bodies, omega, krho):
@@ -321,7 +324,7 @@ def _round_trip(bodies, omega, krho):
     points of a frequency whose reflection is degenerate get NaN."""
     def product(w, k):
         r = [stack_reflection(body, None, w, k) for body in bodies]
-        a = r[0] * r[-1]
+        a = _product(r[0], r[-1])
         return np.stack([a[0, :, 0], a[1, :, 1]], axis=1)
     try:
         return product(omega, krho)
@@ -337,7 +340,7 @@ def _round_trip(bodies, omega, krho):
 
 
 def _fringe_edges(bodies, omegas: np.ndarray, gap: float, max_subdivisions: int):
-    """(row, u) seed edges graded toward the Fabry-Perot poles of each row's
+    """(row, v) seed edges graded toward the Fabry-Perot poles of each row's
     propagating branch, rows with 1 <= k0 gap <= pi max_subdivisions only:
     fringe n of either polarization sits at v = kz / k0 =
     (2 pi n - arg a) / (2 k0 gap), a = R1 R2, and |a| < 1 puts it
@@ -369,10 +372,7 @@ def _fringe_edges(bodies, omegas: np.ndarray, gap: float, max_subdivisions: int)
     keep = ((v_n > _V_MIN) & (delta > 0.0) & (delta < _FRINGE_GATE * spacing)
             & (np.abs(v - v_n) <= 0.5 * delta) & finite[row, None])
     i, edges = _graded(v_n[keep], delta[keep], 0.5 * spacing[keep], _FRINGE_RATIO)
-    on = (edges > _V_MIN) & (edges < 1.0)
-    edges = edges[on]
-    return (np.broadcast_to(row[:, None], v.shape)[keep][i][on],
-            np.sqrt((1.0 - edges) * (1.0 + edges)))
+    return np.broadcast_to(row[:, None], v.shape)[keep][i], edges
 
 
 def _merged(seeds, n_rows: int, parts, lo: float, hi: float) -> list[np.ndarray]:
@@ -393,14 +393,12 @@ def _merged(seeds, n_rows: int, parts, lo: float, hi: float) -> list[np.ndarray]
 
 
 def _seed_edges(bodies, omegas: np.ndarray, gap: float, spec: IntegrationSpec):
-    """Per frequency, the seed edges of both branches: the blind seeds, the
-    light lines k_rho = k0 sqrt(eps mu) of every non-black medium of the
-    bodies, graded where rtol asks (_line_edges), as u = k_rho / k0 in
-    (0, 1) on the propagating branch (0 < Re eps mu < 1) and
-    t = gap sqrt(k_rho^2 - k0^2) in (0, t_max) on the evanescent one
-    (Re eps mu > 1), and on the propagating branch the graded Fabry-Perot
-    poles (_fringe_edges).  An edge so close to t = 0 that the nodes of
-    [0, t] would underflow is left out.  One sorted array per row."""
+    """Per frequency, the sorted seed edges of both branches: the blind
+    seeds, every non-black medium's light line, graded where rtol asks
+    (_line_edges) toward its branch point v = sqrt(1 - eps mu) (Re eps mu < 1)
+    or t = gap k0 sqrt(eps mu - 1) (Re eps mu > 1), and the graded
+    Fabry-Perot poles (_fringe_edges) in v.  Edges below v = _V_MIN, or so
+    close to t = 0 that the nodes of [0, t] would underflow, are left out."""
     k0, rows = omegas / _C, np.arange(len(omegas))
     prop, evan = [_fringe_edges(bodies, omegas, gap, spec.max_subdivisions)], []
     for body in bodies:
@@ -408,11 +406,10 @@ def _seed_edges(bodies, omegas: np.ndarray, gap: float, spec: IntegrationSpec):
             z = np.broadcast_to(eps * mu, omegas.shape)
             on = z.real > 1.0
             # gap * k0 stays finite where gap * omega would overflow
-            evan.append(_line_edges(rows[on], gap * k0[on] * np.sqrt(z[on] - 1.0),
-                                    gap * k0[on] * np.sqrt(z.real[on] - 1.0), spec.rtol))
-            on = (0.0 < z.real) & (z.real < 1.0)
-            prop.append(_line_edges(rows[on], np.sqrt(z[on]), np.sqrt(z.real[on]), spec.rtol))
-    return (_merged(_PROP_SEEDS, len(omegas), prop, 0.0, 1.0),
+            evan.append(_line_edges(rows[on], gap * k0[on] * np.sqrt(z[on] - 1.0), spec.rtol))
+            on = z.real < 1.0
+            prop.append(_line_edges(rows[on], np.sqrt(1.0 - z[on]), spec.rtol))
+    return (_merged(_PROP_SEEDS, len(omegas), prop, _V_MIN, 1.0),
             _merged(_EVAN_SEEDS, len(omegas), evan, _T_LINE_MIN, EVANESCENT_CUTOFF))
 
 
@@ -422,40 +419,36 @@ def _group(system: GapSystem, omegas: np.ndarray, integrand, spec: IntegrationSp
     gap = system.gap
     bodies = (system.body1,) if system.body1 == system.body2 else (system.body1, system.body2)
 
-    def panels(row, krho, kz_host_sq, khz, measure):
-        # rows s and p of each distinct body from one recursion, then the
-        # integrand times the branch measure, (points, 2)
-        w = omegas[row]
-        r = [stack_reflection(body, None, w, krho, kz_host_sq) for body in bodies]
-        return (measure * integrand(r[0], r[-1], krho, w, gap, khz=khz)).reshape(2, -1).T
-
-    def f_prop(u, row):
-        # substitution u = krho / (w/c): krho dkrho = k0 krho du, and every
-        # frequency shares the limits [0, 1] and the blind seed panels
-        u, row = u.reshape(-1, _NODES), row[::_NODES, None]   # whole panels, one omega each
-        k0r = k0[row]
-        krho = u * k0r
-        kzh2 = (k0r - krho) * (k0r + krho)
-        return panels(row, krho, kzh2, np.sqrt(kzh2), k0r * krho / (2.0 * math.pi))
-
-    def f_evan(t, row):
-        # substitution t = |kz| * gap: krho dkrho = t dt / gap^2, and the
-        # decay constant t/gap is exact even where krho rounds to w/c
-        t, row = t.reshape(-1, _NODES), row[::_NODES, None]
-        q = t / gap
-        return panels(row, np.hypot(k0[row], q), -q * q, q, t / (2.0 * math.pi * gap * gap))
+    def in_kz(scale, prop: bool):
+        # |kz| = x scale in the gap, v = kz / k0 (scale k0) or t = |kz| gap
+        # (scale 1/gap): krho dkrho = -kz dkz gives the measure x scale^2 / 2pi,
+        # the exact kz^2 = +-(x scale)^2 and |kz| reach the reflections (s and
+        # p of each distinct body at once) and kernel; krho only names the branch
+        def f(x, row):
+            x, row = x.reshape(-1, _NODES), row[::_NODES, None]   # whole panels, one omega each
+            w, k0r, s = omegas[row], k0[row], scale[row]
+            khz = x * s
+            krho = (np.minimum(k0r * np.sqrt((1.0 - x) * (1.0 + x)), np.nextafter(k0r, 0.0))
+                    if prop else np.hypot(k0r, khz))
+            r = [stack_reflection(body, None, w, krho, khz * khz if prop else -khz * khz)
+                 for body in bodies]
+            return ((khz * s / (2.0 * math.pi))
+                    * integrand(r[0], r[-1], krho, w, gap, khz=khz)).reshape(2, -1).T
+        return f
 
     prop_edges, evan_edges = _seed_edges(bodies, omegas, gap, spec)
-    res_prop = adaptive_integrate(f_prop, 0.0, 1.0, spec, prop_edges, floor_prop,
+    res_prop = adaptive_integrate(in_kz(k0, True), 0.0, 1.0, spec, prop_edges, floor_prop,
                                   batch=len(omegas))
-    res_evan = adaptive_integrate(f_evan, 0.0, EVANESCENT_CUTOFF, spec, evan_edges,
-                                  floor_evan, batch=len(omegas))
+    res_evan = adaptive_integrate(in_kz(np.full_like(k0, 1.0 / gap), False), 0.0,
+                                  EVANESCENT_CUTOFF, spec, evan_edges, floor_evan,
+                                  batch=len(omegas))
 
     out = []
     for omega, k0_row, prop, evan in zip(omegas.tolist(), k0.tolist(),
                                          res_prop.rows, res_evan.rows):
         # the propagating branch reports its worst subinterval in krho
-        worst_prop = prop.worst_interval and tuple(k0_row * u for u in prop.worst_interval)
+        worst_prop = prop.worst_interval and tuple(
+            k0_row * math.sqrt((1.0 - v) * (1.0 + v)) for v in prop.worst_interval[::-1])
         warnings = tuple(
             f"{branch} quadrature not converged at omega={omega:.6e}; "
             f"worst subinterval {worst}"

@@ -544,3 +544,88 @@ def test_geometry_temperature_whose_fourth_power_overflows_is_one_named_error(tm
     assert run_cli(tmp_path, text) == 1
     assert capsys.readouterr().err == "error: T1 = 1e+78 K is too large: T^4 overflows\n"
     assert not (tmp_path / "out").exists()
+
+
+# gap and bodies on lines 1-8; each case's own lines follow
+_BB = "[gap]\ngap = 1e-6\nT1 = 400\nT2 = 300\n[body1]\nmaterial = black\n[body2]\nmaterial = black\n"
+_HEAT = "[output]\nmode = heat-flux\n"
+_SQUARES = "[geometry]\nmesh1 = sq1.obj\n"
+_TRIANGLE = {"sq1.obj": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"}
+
+
+def _body1(lines):
+    return _BB.replace("[body1]\nmaterial = black\n", "[body1]\n" + lines)
+
+
+@pytest.mark.parametrize("text, files, args, code, stderr", [
+    ("junk\n" + _BB + _HEAT, {}, (), 2,
+     ["config error: line 1: expected 'key = value', got 'junk'"]),
+    ("x = 1\n" + _BB + _HEAT, {}, (), 2, ["config error: line 1: key outside any [section]"]),
+    (_BB + _HEAT + "= 3\n", {}, (), 2, ["config error: line 11: empty key"]),
+    (_BB + _HEAT + "mode = spectrum\n", {}, (), 2,
+     ["config error: line 11: duplicate key 'mode' in [output]"]),
+    (_BB + _HEAT + "[integration]\nmax_subdivisions = 1.5\n", {}, (), 2,
+     ["config error: line 12: key 'max_subdivisions': not an integer: '1.5'"]),
+    (_body1("material = tabulated\ntable = eps.txt\n") + _HEAT, {}, (), 2,
+     ["config error: line 7: table file not found: {tmp}/eps.txt"]),
+    (_body1("material = tabulated\ntable = eps.txt\n") + _HEAT, {"eps.txt": "1e14 2 0.1 1\n"},
+     (), 2, ["config error: line 7: {tmp}/eps.txt:1: need 5 columns "
+             "(omega eps_re eps_im mu_re mu_im)"]),
+    (_body1("material = tabulated\ntable = eps.txt\n") + _HEAT,
+     {"eps.txt": "# omega eps mu\n1e14 2 x 1 0\n"}, (), 2,
+     ["config error: line 7: {tmp}/eps.txt:2: non-numeric entry"]),
+    (_body1("eps_re = 2\n") + _HEAT, {}, (), 2,
+     ["config error: line 5: missing key 'material' in [body1]"]),
+    (_body1("material = glass\n") + _HEAT, {}, (), 2,
+     ["config error: line 6: unknown material model 'glass'"]),
+    (_body1("material = lorentz\nterm.1.strength = 3.3\n") + _HEAT, {}, (), 2,
+     ["config error: [body1] term.1 missing ['gamma', 'omega0']"]),
+    (_body1("material = tabulated\n") + _HEAT, {}, (), 2,
+     ["config error: line 6: tabulated material needs a 'table' key"]),
+    (_body1("material = drude\neps_inf = 1\nomega_p = 1e16\ngamma = -1e14\n") + _HEAT, {}, (),
+     2, ["config error: line 6: [body1]: Drude omega_p and gamma must be >= 0"]),
+    (_BB + "[body1.film.2]\nmaterial = black\nthickness = 1e-8\n" + _HEAT, {}, (), 2,
+     ["config error: [body1.film.2]: film indices must be 1..N without gaps"]),
+    (_BB, {}, (), 2, ["config error: missing key 'mode' in [output]"]),
+    (_BB + _HEAT + "[integration]\nomega_lo = 1e13\n", {}, (), 2,
+     ["config error: [integration]: omega_lo and omega_hi must be given together"]),
+    (_BB + "[output]\nmode = spectrum\nomega_min = 2e14\nomega_max = 1e14\n", {}, (), 2,
+     ["config error: [output]: need 0 < omega_min < omega_max"]),
+    (_BB.replace("T2 = 300", "source = 2") + "[output]\nmode = pressure\n", {}, (), 2,
+     ["config error: [gap]: pressure mode needs T2 > 0"]),
+    (_SQUARES + "[output]\nmode = viewfactor\n", _TRIANGLE, (), 2,
+     ["config error: missing key 'mesh2' in [geometry]"]),
+    (_SQUARES + "mesh2 = sq2.obj\n[output]\nmode = viewfactor\n", _TRIANGLE, (), 2,
+     ["config error: line 3: mesh file not found: {tmp}/sq2.obj"]),
+    (_BB + _HEAT, {}, ("--tolerance", "-1"), 2,
+     ["error: --tolerance: rtol must be positive, got -1.0"]),
+    (_BB + "[output]\nmode = heat-flux\ndir = out\n"
+     "[integration]\nrtol = 1e-15\nmax_subdivisions = 0\n", {}, (), 1,
+     ["warning: quadrature did not converge; partial result in {tmp}/out/summary.txt"]),
+], ids=["no-equals", "outside-section", "empty-key", "duplicate-key", "not-an-integer",
+        "table-not-found", "table-columns", "table-entry", "missing-material",
+        "unknown-model", "term-missing", "table-key", "drude-gamma", "film-indices",
+        "missing-mode", "window-half", "omega-order", "pressure-T2", "missing-mesh2",
+        "mesh-not-found", "tolerance", "not-converged"])
+def test_refusals_name_their_cause_and_exit_code(tmp_path, capsys, text, files, args, code,
+                                                 stderr):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    assert run_cli(tmp_path, text, *args) == code
+    tmp = tmp_path.resolve()
+    assert capsys.readouterr().err.splitlines() == [line.format(tmp=tmp) for line in stderr]
+    if code == 1:   # a scalar run's partial result says it did not converge
+        summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+        assert "converged = false" in summary.splitlines()
+
+
+def test_bb_heat_mode_exits_1_on_an_unconverged_frequency_integral(tmp_path, capsys):
+    save_obj(rectangle_mesh([0, 0, 0], [1, 0, 0], [0, 1, 0], 2, 2), tmp_path / "sq1.obj")
+    save_obj(rectangle_mesh([0, 0, 1], [0, 1, 0], [1, 0, 0], 2, 2), tmp_path / "sq2.obj")
+    text = ("[geometry]\nmesh1 = sq1.obj\nmesh2 = sq2.obj\nT1 = 400\nT2 = 300\n"
+            "[integration]\nrtol = 1e-15\nmax_subdivisions = 0\n[output]\nmode = bb-heat\n"
+            "dir = out\n")
+    assert run_cli(tmp_path, text) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: the blackbody heat rate's frequency integral did not converge (error ")
+    assert not (tmp_path / "out").exists()

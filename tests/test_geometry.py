@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gaprad import geometry, quadrature
-from gaprad import (CONSTANTS, MeshError, TriMesh, bb_heat_rate,
+from gaprad import (CONSTANTS, IntegrationSpec, MeshError, TriMesh, bb_heat_rate,
                     bb_transmissivity, bb_transmissivity_direct, load_mesh,
                     rectangle_mesh, save_obj, view_factor)
 from gaprad.geometry import TRIANGLE_RULES
@@ -738,3 +738,41 @@ def test_direct_route_is_the_dyad_closed_form_on_far_single_triangles(rng):
         value = bb_transmissivity_direct(m1, m2, omega, quad_order=1).value
         worst = max(worst, abs(value - expected) / scale)
     assert worst <= 1e-14
+
+
+_TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+def _obj(tmp_path, text):
+    path = tmp_path / "m.obj"
+    path.write_text(text, encoding="utf-8")
+    return load_mesh(path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: TriMesh(np.zeros((3, 3)), np.zeros((0, 3), int)), "mesh has no triangles"),
+    (lambda tmp: TriMesh(np.eye(3), np.array([[0, 1, 3]])), "triangle index out of range"),
+    (lambda tmp: TriMesh(np.eye(3), np.array([[0, -1, 2]])), "triangle index out of range"),
+    (lambda tmp: _obj(tmp, "v 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
+     "{path}:1: malformed vertex line: could not convert string to float: 'x'"),
+    (lambda tmp: _obj(tmp, _TRIANGLE + "f 1 2 c\n"),
+     "{path}:4: malformed face line: invalid literal for int() with base 10: 'c'"),
+    (lambda tmp: _obj(tmp, _TRIANGLE + "f 1 2 3.0\n"),
+     "{path}:4: malformed face line: invalid literal for int() with base 10: '3.0'"),
+    (lambda tmp: _obj(tmp, _TRIANGLE + "f 0 1 2\n"), "{path}:4: face index out of range"),
+], ids=["no-triangles", "index-high", "index-negative", "vertex-number", "face-number",
+        "face-float", "face-index-zero"])
+def test_mesh_refusals_name_their_cause(tmp_path, make, message):
+    with pytest.raises(MeshError, match=f"^{re.escape(message.format(path=tmp_path / 'm.obj'))}$"):
+        make(tmp_path)
+
+
+@pytest.mark.parametrize("spec", [IntegrationSpec(rtol=1e-15, max_subdivisions=0),
+                                  IntegrationSpec(rtol=1e-12, max_subdivisions=2)],
+                         ids=["no-budget", "two-bisections"])
+def test_bb_heat_rate_refuses_an_unconverged_frequency_integral(spec):
+    # its closed form is exact, but the spectral route did not meet rtol:
+    # it once came back as if it had
+    with pytest.raises(ValueError, match=r"^the blackbody heat rate's frequency integral "
+                                         r"did not converge \(error \d\.\d{3}e-0\d on 198\.28"):
+        bb_heat_rate(*facing_square_pair(1.0, n=2), 400.0, 300.0, spec=spec)

@@ -1,6 +1,7 @@
 """Material response models and Planck statistics."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -247,3 +248,29 @@ def test_every_omega_check_names_the_first_bad_value(bad, shown):
         for omega in (bad, np.array([1e14, bad, -1.0])):
             with pytest.raises(ValueError, match=message):
                 call(omega)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Drude(1.0, -1e16, 1e14), ValueError, "Drude omega_p and gamma must be >= 0"),
+    (lambda: Drude(1.0, 1e16, -1e14), ValueError, "Drude omega_p and gamma must be >= 0"),
+    (lambda: Tabulated(np.array([1e13]), np.array([2 + 0j]), np.array([1 + 0j])), ValueError,
+     "tabulated material needs matching 1-D omega/eps/mu samples"),
+    (lambda: Tabulated(np.array([1e13, 2e13]), np.array([2 + 0j]), np.ones(2, complex)),
+     ValueError, "tabulated material needs matching 1-D omega/eps/mu samples"),
+    (lambda: Tabulated(np.array([1e13, 2e13]), np.array([2 + 0j, np.nan]), np.ones(2, complex)),
+     ValueError, "non-finite entry in material table"),
+    (lambda: Tabulated(np.array([1e13, np.inf]), np.ones(2, complex), np.ones(2, complex)),
+     ValueError, "non-finite entry in material table"),
+    (lambda: eval_response("glass", 1e14), TypeError, "unknown material type str"),
+    (lambda: planck_energy(1e14, 300.0, "zero-point"), ValueError,
+     "unknown variant 'zero-point'"),
+    (lambda: planck_energy(1e14, -1.0), ValueError,
+     "temperature must be finite and >= 0, got -1.0"),
+    (lambda: planck_energy(1e14, math.nan), ValueError,
+     "temperature must be finite and >= 0, got nan"),
+], ids=["drude-omega_p", "drude-gamma", "table-short", "table-shape", "table-nan-eps",
+        "table-inf-omega", "unknown-type", "planck-variant", "planck-negative-T",
+        "planck-nan-T"])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -203,7 +203,7 @@ def test_stack_duality_multilayer(rng):
 
 def test_duality_is_bitwise_for_array_krho(rng):
     # numpy's complex multiply may round eps mu and mu eps apart (FMA), so the
-    # stack forms eps mu from its parts; array krho swaps as scalars do
+    # stack forms eps mu symmetrically; array krho swaps as scalars do
     def medium():
         return (complex(rng.uniform(-3, 8), rng.uniform(0, 3)),
                 complex(rng.uniform(-1, 4), rng.uniform(0, 1.5)))

@@ -490,3 +490,21 @@ def test_every_module_level_name_is_exported_or_read():
         if unused:
             dead[name] = sorted(unused)
     assert dead == {}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(rtol=0.0), "rtol must be positive, got 0.0"),
+    (dict(rtol=math.nan), "rtol must be positive, got nan"),
+    (dict(abs_floor=-1e-300), "abs_floor must be >= 0, got -1e-300"),
+    (dict(abs_floor=math.inf), "abs_floor must be finite, got inf"),
+    (dict(max_subdivisions=2.5), "max_subdivisions must be an integer, got 2.5"),
+    (dict(max_subdivisions=-1), "max_subdivisions must be >= 0"),
+    (dict(window=(1.0, 2.0, 3.0)), "window must be a (lo, hi) pair, got (1.0, 2.0, 3.0)"),
+    (dict(window=(2.0, 1.0)),
+     "frequency window must satisfy 0 < lo < hi < inf, got window=(2.0, 1.0)"),
+], ids=["rtol-zero", "rtol-nan", "abs_floor-negative", "abs_floor-inf",
+        "max_subdivisions-float", "max_subdivisions-negative", "window-triple",
+        "window-reversed"])
+def test_spec_refusals_name_their_cause(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntegrationSpec(**kwargs)

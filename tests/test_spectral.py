@@ -132,7 +132,7 @@ def test_an_rtol_above_one_passes_on_the_seed_panels():
     # tolerance passes every integral on its seed panels
     spec = IntegrationSpec(rtol=1e300)
     bd = energy_transmissivity_pp(SYS_BB, 1e14, spec)
-    assert bd.converged and bd.neval == 15 * (2 + 12) and math.isfinite(bd.total)
+    assert bd.converged and bd.neval == 15 * (1 + 12) and math.isfinite(bd.total)
     res = heat_flux(SYS_BB, spec)
     assert res.converged and res.omega_nodes == 15 * 12 and math.isfinite(res.value)
     heat = bb_heat_rate(*facing_square_pair(1.0, n=2), 400.0, 300.0, spec=spec)
@@ -249,11 +249,11 @@ def test_scalar_result_counts_its_nodes_and_points():
     res = heat_flux(SYS_BB, IntegrationSpec(rtol=1e-6))
     # the outer seed panels take 15 nodes each, bisections 30
     assert res.omega_nodes >= 15 * 12 and res.omega_nodes % 15 == 0
-    # black bodies: every inner integral converges on its 14 seed panels
-    assert res.neval == 15 * (2 + 12) * res.omega_nodes
+    # black bodies: every inner integral converges on its 13 seed panels
+    assert res.neval == 15 * (1 + 12) * res.omega_nodes
     sic = GapSystem(LayerStack(SIC), LayerStack(SIC), 1e-7, 400.0, 300.0)
     res = neq_pressure(sic, 1, 400.0, IntegrationSpec(rtol=1e-4))
-    assert res.neval > 15 * (2 + 12) * res.omega_nodes > 0
+    assert res.neval > 15 * (1 + 12) * res.omega_nodes > 0
 
 
 def test_non_finite_temperatures_rejected():
@@ -291,7 +291,7 @@ def test_sic_heat_flux_inner_cost():
     # the inner cost as a count host noise cannot move: 1.49 M points on 16
     # propagating and 64 evanescent blind seed panels, about 0.79 M on 8 and
     # 24 with each frequency's light lines, about 0.61 M on 12 outer seeds,
-    # about 0.42 M on 2 and 12 inner seeds
+    # about 0.42 M on 2 and 12 inner seeds, 361 710 on 1 and 12 in v = kz / k0
     res = heat_flux(SIC_50NM, IntegrationSpec(rtol=1e-8))
     assert res.converged and res.omega_nodes == 870
     assert res.neval <= 430_000
@@ -302,12 +302,13 @@ def test_gold_heat_flux_outer_cost():
     # far field: Fabry-Perot fringes drive the frequency integral, which took
     # 960 nodes on 32 blind outer seed panels; the inner cost as a count host
     # noise cannot move: 872 790 points before each fringe was seeded as a
-    # graded pole
+    # graded pole, 666 300 with the propagating branch in krho / k0 and
+    # 631 950 in kz / k0
     ref = 3.6892532046548543
     gold = LayerStack(Drude(eps_inf=1.0, omega_p=1.37e16, gamma=4.05e13))
     res = heat_flux(GapSystem(gold, gold, 3e-6, 400.0, 300.0), IntegrationSpec(rtol=1e-6))
     assert res.converged and res.omega_nodes == 660
-    assert res.neval <= 680_000
+    assert res.neval <= 640_000
     assert abs(res.value - ref) <= 1e-6 * ref
 
 

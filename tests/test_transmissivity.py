@@ -136,9 +136,8 @@ def test_reciprocity_under_body_swap(rng):
                         10**rng.uniform(-8, -6), 300, 300)
         swapped = sys.swapped()
         for omega in 10**rng.uniform(13.3, 15.0, 3):
-            a = energy_transmissivity_pp(sys, omega, spec).total
-            b = energy_transmissivity_pp(swapped, omega, spec).total
-            assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
+            a = energy_transmissivity_pp(sys, omega, spec)
+            assert _bits(a) == _bits(energy_transmissivity_pp(swapped, omega, spec))
 
 
 def test_momentum_transmissivity_is_not_reciprocal():
@@ -268,13 +267,14 @@ def test_frequency_batch_is_reciprocal_under_body_swap():
     omegas = np.geomspace(1e13, 1e15, 64)
     for a, b in zip(energy_transmissivity_pp(system, omegas, spec),
                     energy_transmissivity_pp(system.swapped(), omegas, spec)):
-        assert abs(a.total - b.total) <= 1e-12 * abs(a.total)
+        assert _bits(a) == _bits(b)
 
 
 def test_propagating_warning_names_its_worst_subinterval_in_krho():
     # a far-field gold gap with no refinement budget: the propagating branch
-    # stops at its 2 seed panels, each k0/2 wide in krho (gold's Re eps < 0
-    # adds no light line)
+    # stops at its one seed panel, v = kz / k0 in (0, 1), which spans krho in
+    # (0, k0) (gold's Re eps < 0 adds no light line, and a budget of 0 no
+    # fringe)
     st = LayerStack(GOLD)
     sys = GapSystem(st, st, 3e-6)
     w = 2e14
@@ -283,17 +283,17 @@ def test_propagating_warning_names_its_worst_subinterval_in_krho():
     prop = [m for m in bd.warnings if m.startswith("propagating")]
     assert prop and "worst subinterval" in prop[0]
     lo, hi = map(float, re.search(r"worst subinterval \((.*), (.*)\)", prop[0]).groups())
-    assert 0.0 <= lo < hi <= k0 * (1 + 1e-12)
-    assert hi - lo == pytest.approx(k0 / 2, rel=1e-12)
+    assert lo == 0.0
+    assert hi == pytest.approx(k0, rel=1e-12)
 
 
 def test_breakdown_counts_its_integrand_points():
     # black bodies converge on the seed panels, and black media add no light
-    # line: 2 propagating and 12 evanescent panels of 15 points each
+    # line: 1 propagating and 12 evanescent panels of 15 points each
     sys = GapSystem(BB, BB, 1e-6)
-    assert energy_transmissivity_pp(sys, 1e14).neval == 15 * (2 + 12)
+    assert energy_transmissivity_pp(sys, 1e14).neval == 15 * (1 + 12)
     bds = energy_transmissivity_pp(sys, [1e13, 1e14])
-    assert [bd.neval for bd in bds] == [15 * (2 + 12)] * 2
+    assert [bd.neval for bd in bds] == [15 * (1 + 12)] * 2
 
 
 def _seed_panels(body1, body2, omega=1e14, gap=1e-6, rtol=1e-8):
@@ -307,29 +307,53 @@ def _seed_panels(body1, body2, omega=1e14, gap=1e-6, rtol=1e-8):
 
 def test_light_lines_seed_both_branches():
     # Re eps = 2.25 puts a light line at t = gap k0 sqrt(1.25) ~ 0.37 on the
-    # evanescent branch, Re eps = 0.36 one at u = 0.6 on the propagating one.
-    # Their branch points lie 0.015 and 0.083 off the real axis, which rtol
-    # 1e-8 sees: each line gives c and c +- delta, c +- 4 delta (t) or c and
-    # c +- delta (u), 5 and 3 edges within c/2 of the branch point
+    # evanescent branch, Re eps = 0.36 one at v = sqrt(0.64) ~ 0.80 on the
+    # propagating one.  Their branch points lie 0.015 and 0.062 off the real
+    # axis, which rtol 1e-8 sees: each line gives c, c +- delta and
+    # c +- 4 delta, 5 edges within c/2 of the branch point, of which
+    # v = c + 4 delta lies beyond the branch's end at v = 1
     glass, thin = LayerStack(Constant(2.25 + 0.1j)), LayerStack(Constant(0.36 + 0.1j))
-    assert _seed_panels(BB, BB) == 2 + 12
-    assert _seed_panels(glass, BB) == 2 + 17
+    assert _seed_panels(BB, BB) == 1 + 12
+    assert _seed_panels(glass, BB) == 1 + 17
     assert _seed_panels(thin, BB) == 5 + 12
     # both bodies' lines form one set, the same under a body swap
     assert _seed_panels(glass, thin) == _seed_panels(thin, glass) == 5 + 17
     # a film counts, a medium behind a black film does not
-    assert _seed_panels(LayerStack(Black(), ((Constant(2.25 + 0.1j), 1e-7),)), BB) == 2 + 17
-    assert _seed_panels(LayerStack(Constant(2.25 + 0.1j), ((Black(), 1e-7),)), BB) == 2 + 12
-    # one line for a medium on both sides, none on a seed edge (u = 0.5),
-    # beyond the cutoff (t ~ 37) or for Re eps <= 0
-    assert _seed_panels(glass, glass) == 2 + 17
-    assert _seed_panels(LayerStack(Constant(0.25 + 1e-12j)), BB) == 2 + 12
-    assert _seed_panels(glass, BB, gap=1e-4) == 2 + 12
-    assert _seed_panels(LayerStack(Constant(-3.0 + 0.1j)), BB) == 2 + 12
+    assert _seed_panels(LayerStack(Black(), ((Constant(2.25 + 0.1j), 1e-7),)), BB) == 1 + 17
+    assert _seed_panels(LayerStack(Constant(2.25 + 0.1j), ((Black(), 1e-7),)), BB) == 1 + 12
+    # one line for a medium on both sides, none below v = 1e-6 (here
+    # v = 3.2e-7, and 3.2e-6 is kept) or beyond the cutoff (t ~ 37); for
+    # Re eps <= 0 the branch point lies beyond v = 1, and only its graded
+    # edges inside the branch count: c - 4 delta = 0.97 for eps = -0.3 + 0.1i
+    # (c = 1.14, delta = 0.044), none for -3 + 0.1i (c = 2)
+    assert _seed_panels(glass, glass) == 1 + 17
+    assert _seed_panels(LayerStack(Constant(1.0 - 1e-13)), BB) == 1 + 12
+    assert _seed_panels(LayerStack(Constant(1.0 - 1e-11)), BB) == 2 + 12
+    assert _seed_panels(glass, BB, gap=1e-4) == 1 + 12
+    assert _seed_panels(LayerStack(Constant(-0.3 + 0.1j)), BB) == 2 + 12
+    assert _seed_panels(LayerStack(Constant(-0.3 + 0.1j)), BB, rtol=1e-2) == 1 + 12
+    assert _seed_panels(LayerStack(Constant(-3.0 + 0.1j)), BB) == 1 + 12
     # a single edge where rtol cannot see the offset, (delta/c)^(3/2) < rtol
-    assert _seed_panels(LayerStack(Constant(2.25 + 1e-12j)), BB) == 2 + 13
-    assert _seed_panels(glass, BB, rtol=1e-2) == 2 + 13
-    assert _seed_panels(thin, BB, rtol=0.1) == 3 + 12
+    assert _seed_panels(LayerStack(Constant(0.25 + 1e-12j)), BB) == 2 + 12
+    assert _seed_panels(LayerStack(Constant(2.25 + 1e-12j)), BB) == 1 + 13
+    assert _seed_panels(glass, BB, rtol=1e-2) == 1 + 13
+    assert _seed_panels(thin, BB, rtol=0.1) == 2 + 12
+
+
+@pytest.mark.parametrize("kernel", [energy_transmissivity_pp, momentum_transmissivity_pp])
+def test_a_light_line_at_grazing_incidence_converges(kernel):
+    # Re eps = 1 - 1e-15 put this lossy medium's light line at
+    # krho / k0 = 0.9999999999999994, where 4 nodes of the last panel rounded
+    # to krho = w/c, kz = 0 and the black body's vacuum Fresnel coefficient
+    # was 0/0 (DegenerateInterfaceError); in kz / k0 the line lies at 2.2e-5
+    def value(eps):
+        system = GapSystem(LayerStack(Constant(eps)), BB, 1e-6)
+        bd = kernel(system, 2e14, IntegrationSpec(rtol=1e-8))
+        assert bd.converged and math.isfinite(bd.total)
+        return bd.total
+
+    near = value(1 - 1e-13 + 1e-9j)
+    assert abs(value(0.999999999999999 + 1e-9j) - near) <= 1e-8 * abs(near)
 
 
 @pytest.mark.parametrize("eps, gap, omega", [(1 + 1e-12 + 0.1j, 1e-150, 1e-145),
@@ -520,22 +544,22 @@ def test_fringe_seeds_keep_batch_rows_bitwise_and_swaps_reciprocal():
     batch = energy_transmissivity_pp(system, omegas, spec)
     for w, bd in zip(omegas, batch):
         assert _bits(bd) == _bits(energy_transmissivity_pp(system, float(w), spec))
-    # R1 R2 is symmetric: a body swap keeps the panels
+    # R1 R2 is formed as (R1 R2 + R2 R1) / 2: a body swap keeps the panels
+    # and every value
     system = GapSystem(FILM, LayerStack(SIC), 10e-6)
     for a, b in zip(energy_transmissivity_pp(system, omegas, spec),
                     energy_transmissivity_pp(system.swapped(), omegas, spec)):
-        assert a.neval == b.neval and abs(a.total - b.total) <= 1e-12 * abs(a.total)
+        assert _bits(a) == _bits(b)
 
 
 def test_fringe_seeds_keep_away_from_grazing_incidence():
-    # poles and edges at v = kz / k0 below 1e-6 put edges at u that round to
-    # 1, and so Kronrod nodes at krho = w/c, where gold's kernel is 0/0
-    # ("non-finite integrand value near x=1.0"); with poles kept down to
-    # v = 1e-300, thousands of this grid's edges rounded to u = 1
+    # with poles kept down to v = kz / k0 = 1e-300, thousands of this grid's
+    # edges sat at grazing incidence, where gold's kernel is 0/0 ("non-finite
+    # integrand value"): every pole and edge lies above v = 1e-6
     gold = LayerStack(GOLD)
-    _, u = gaprad.transmissivity._fringe_edges((gold,), np.geomspace(5e13, 3.2e15, 400),
+    _, v = gaprad.transmissivity._fringe_edges((gold,), np.geomspace(5e13, 3.2e15, 400),
                                                30e-6, 4000)
-    assert len(u) and np.all(u < math.sqrt(1.0 - 1e-12))
+    assert len(v) and np.all(v > 1e-6)
     for kernel in (energy_transmissivity_pp, momentum_transmissivity_pp):
         bd = kernel(GapSystem(gold, gold, 30e-6), 3.1e15, IntegrationSpec(rtol=1e-8))
         assert bd.converged and math.isfinite(bd.total)
