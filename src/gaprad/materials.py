@@ -194,6 +194,26 @@ def _positive_omega(omega) -> np.ndarray:
     return w
 
 
+def _resonances(material: Material) -> np.ndarray:
+    """Complex frequencies c - i delta, c > 0, where eps or mu has a pole, a zero
+    or equals -1, each term on its own background inf: the roots of
+    w^2 + i gamma w = w0^2 k, k = 1 (Lorentz pole) or 1 + s / (inf - t) (Lorentz
+    response t in {0, -1}), w0^2 k = wp^2 / (inf - t) (Drude), skipping inf = t."""
+    rows = []
+    if isinstance(material, Drude):
+        rows = [(material.omega_p * material.omega_p / (material.eps_inf - t), material.gamma)
+                for t in (0.0, -1.0) if material.eps_inf != t]
+    elif isinstance(material, LorentzSum):
+        rows = [(w0 * w0 * k, g)
+                for inf, terms in ((material.eps_inf, material.eps_terms),
+                                   (material.mu_inf, material.mu_terms))
+                for s, w0, g in terms
+                for k in (1.0, *(1.0 + s / (inf - t) for t in (0.0, -1.0) if inf != t))]
+    w0_sq, g = np.array(rows, dtype=float).reshape(-1, 2).T
+    w = np.sqrt(w0_sq - 0.25 * g * g + 0j) - 0.5j * g
+    return w[w.real > 0.0]
+
+
 def eval_response(material: Material, omega):
     """Complex (eps, mu) of a material at angular frequency omega > 0.
 

@@ -3,9 +3,12 @@
 All three scalar observables are Bose-weighted frequency integrals of a
 gap transmissivity, taken over an automatic window
 [1e-4, 60] * k_b T / hbar (outside which the thermal weight is negligible)
-unless the integration spec carries an explicit window, seeded with 12
-log-spaced panels.  The inner wavevector quadrature runs 10x tighter than
-the outer frequency tolerance so inner noise cannot defeat outer convergence.
+unless the integration spec carries an explicit window.  Their seeds are 12
+log-spaced panels and each medium's complex resonances c - i delta, where
+eps or mu has a pole, a zero or equals -1 and polar media transfer most,
+graded as the light lines are (transmissivity._line_edges).  The inner
+wavevector quadrature runs 10x tighter than the outer frequency tolerance
+so inner noise cannot defeat outer convergence.
 
 The photon pressure integral deliberately uses the thermal part of the
 Planck weight only: the zero-point half quantum belongs to the equilibrium
@@ -20,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import (CONSTANTS, Tabulated, _check_temperatures, planck_energy,
-                        planck_energy_dT)
+from .materials import (CONSTANTS, Tabulated, _check_temperatures, _resonances,
+                        planck_energy, planck_energy_dT)
 from .quadrature import IntegrationSpec, adaptive_integrate
-from .transmissivity import (NOISE_FRACTION, ChannelBreakdown, GapSystem,
-                             energy_transmissivity_pp,
+from .transmissivity import (_OMEGA_GROUP, NOISE_FRACTION, ChannelBreakdown, GapSystem,
+                             _line_edges, _merged, energy_transmissivity_pp,
                              momentum_transmissivity_pp)
 
 __all__ = [
@@ -98,14 +101,27 @@ class TableRangeError(ValueError):
     """A frequency window or grid leaves the range of a tabulated medium."""
 
 
+def _media(*stacks) -> list:
+    """Every medium of the stacks, films and terminal."""
+    return [m for stack in stacks for m in (stack.terminal, *(film for film, _ in stack.films))]
+
+
 def _check_tables(system: GapSystem, lo: float, hi: float) -> None:
     for name, stack in (("body1", system.body1), ("body2", system.body2)):
-        for m in (stack.terminal, *(film for film, _ in stack.films)):
+        for m in _media(stack):
             if isinstance(m, Tabulated) and (lo < m.omega[0] or hi > m.omega[-1]):
                 raise TableRangeError(
                     f"{name}: frequencies [{lo:.6e}, {hi:.6e}] rad/s leave the "
                     f"range [{m.omega[0]:.6e}, {m.omega[-1]:.6e}] rad/s of its "
                     "tabulated medium, which is not extrapolated")
+
+
+def _frequency_edges(system: GapSystem, lo: float, hi: float, rtol: float) -> np.ndarray:
+    """_outer_edges and, inside the window, each medium's complex resonances,
+    graded as the light lines are (_line_edges) where rtol can see them."""
+    w = np.concatenate([_resonances(m) for m in _media(system.body1, system.body2)])
+    return _merged(_outer_edges(lo, hi), 1,
+                   [_line_edges(np.zeros(len(w), dtype=int), w, rtol)], lo, hi)[0]
 
 
 def _window(system: GapSystem, spec: IntegrationSpec, T_max: float) -> tuple[float, float]:
@@ -124,15 +140,17 @@ def _integrate_spectrum(weight, transmissivity, system: GapSystem,
     inner_neval = 0
 
     def f(omegas: np.ndarray) -> np.ndarray:
-        # one batched transmissivity call per integrand call of the sweep
+        # one batched call per frequency group, so one group's breakdowns live at a time
         nonlocal inner_ok, inner_neval
-        bds = transmissivity(system, omegas, inner_spec)
-        inner_ok = inner_ok and all(bd.converged for bd in bds)
-        inner_neval += sum(bd.neval for bd in bds)
-        return weight(omegas) * np.array([bd.total for bd in bds]) / _TWO_PI
+        totals = []
+        for i in range(0, len(omegas), _OMEGA_GROUP):
+            bds = transmissivity(system, omegas[i:i + _OMEGA_GROUP], inner_spec)
+            inner_ok = inner_ok and all(bd.converged for bd in bds)
+            inner_neval += sum(bd.neval for bd in bds)
+            totals += [bd.total for bd in bds]
+        return weight(omegas) * np.array(totals) / _TWO_PI
 
-    lo, hi = window
-    res = adaptive_integrate(f, lo, hi, spec, initial_edges=_outer_edges(lo, hi),
+    res = adaptive_integrate(f, *window, spec, _frequency_edges(system, *window, spec.rtol),
                              abs_floor=NOISE_FRACTION * noise_scale, per_panel=True)
     return ScalarResult(res.value, res.error, window, res.converged and inner_ok, note,
                         neval=inner_neval, omega_nodes=res.neval)

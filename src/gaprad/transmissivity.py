@@ -22,66 +22,35 @@ krho = w/c is handled by ending/starting the branches exactly there; panel
 nodes are interior so the point itself is never evaluated.
 
 Each frequency adds seed edges at the light line of every non-black medium
-of both bodies, where that medium's kz = sqrt(eps mu k0^2 - krho^2) has its
-square-root branch point: b = gap k0 sqrt(eps mu - 1) in t (Re eps mu > 1)
-or b = sqrt(1 - eps mu) in v (Re eps mu < 1; beyond v = 1 for Re eps mu <= 0,
-near it at a polar medium's longitudinal frequency).  A lossy medium's b lies
-delta = |Im b| off the real axis.  Where rtol can see that offset,
-(delta / c)^(3/2) >= rtol with c = Re b, the relative size of the integral
-of |sqrt(x + i delta) - sqrt(x)| over the line's scale, the edges are
-graded toward it: c and c +- delta 4^k while within c/2 and inside the
-branch.  Such a geometric mesh resolves the point in one pass (Schwab,
-p- and hp-Finite Element Methods, 1998), where bisection from one edge took
-about 5 sweeps down to width delta.  Elsewhere the line is one edge at
-c, where the reflections have a kink.  The two bodies' edges form one
-set, so a body swap keeps the panels.
-
-Both grading constants are measured, with the propagating branch then in
-u = krho / k0, on the spectrum benchmark's 400-point SiC/SiC and film/SiC
-grids at rtol 1e-8, 1 097 820 points with one edge per line.  The ratio
-2, 3, 4, 6 or 8 gave 895 800, 714 930, 657 540, 653 160 or 684 300
-points.  The gate delta / c >= rtol^(1/2) gave 806 010 and left the SiC
-pressure 0.18 rtol off its reference; rtol^(2/3) gave the full gain and
-1.2e-4 rtol.  Ungated grading, which the gate exists to prevent, took
-eps = 2.25 + 1e-12i at 1e14 rad/s and rtol 1e-8 from 315 to 855 points.
+of both bodies, the branch point b of its kz = sqrt(eps mu k0^2 - krho^2):
+b = gap k0 sqrt(eps mu - 1) in t (Re eps mu > 1) or b = sqrt(1 - eps mu)
+in v (Re eps mu < 1).  A lossy medium's b lies delta = |Im b| off the real
+axis.  Where rtol can see that offset, (delta / c)^(3/2) >= rtol with
+c = Re b (the relative size of the integral of |sqrt(x + i delta) - sqrt(x)|
+over the line's scale), the edges are graded toward it: c and c +- delta 4^k
+within c/2 and inside the branch, a geometric mesh that resolves the point
+in one pass (Schwab, p- and hp-Finite Element Methods, 1998).  Elsewhere
+the line is one edge at c, where the reflections have a kink.  The two
+bodies' edges form one set, so a body swap keeps the panels.
 
 Where k0 gap >= 1, the propagating branch also gets graded seeds at its
 Fabry-Perot poles.  The kernels share the denominator
-|1 - a e^{2i k0 gap v}|^2, a = R1 R2 and v = kz / k0 (Polder and Van Hove,
-PRB 4, 3303, 1971), which for |a| < 1 has a pole per fringe n at
+|1 - a e^{2i k0 gap v}|^2, a = R1 R2 (Polder and Van Hove, PRB 4, 3303,
+1971), which for |a| < 1 has a pole per fringe n at
 v = (2 pi n - arg a) / (2 k0 gap), delta = ln(1/|a|) / (2 k0 gap) off the
-real axis; fringes lie pi / (k0 gap) apart.  A good reflector such as gold
-has |a| near 1, and bisection from the blind panels took a sweep per
-halving down to width delta at every fringe.  Per frequency and
-polarization, n runs over 0 .. floor(k0 gap / pi) + 1, each v from
-min((2 pi n + pi) / (2 k0 gap), 1 - 1e-6) through 3 fixed-point steps
-v <- (2 pi n - arg a(v)) / (2 k0 gap), each one reflection over the
-group's rows, fringes and polarizations; a last reflection at v gives
-delta and the next estimate.  A pole is graded when 1e-6 < v, when
-0 < delta < 1/8 of the spacing, and when it has settled, the next
-estimate within delta/2: v and v +- delta 3^k while within half a
-spacing, seeded in v as they are found.  Edges stay above v = 1e-6, off
-grazing incidence.  A frequency's poles depend on its own reflections
-only, so batch rows keep their seeds, and a frequency whose finder meets
-a degenerate or non-finite reflection takes no pole.  Rows above
-k0 gap = pi max_subdivisions take none, which bounds the finder's arrays.
+real axis; fringes lie pi / (k0 gap) apart, and a good reflector's are
+narrow.  Each frequency finds the poles n = 0 .. floor(k0 gap / pi) + 1 of
+both polarizations by 3 fixed-point steps of that formula, one reflection
+each over the group, and grades each pole that has settled (the next
+estimate within delta/2), lies above v = 1e-6 and is narrower than 1/8 of
+the spacing: v and v +- delta 3^k within half a spacing.  A frequency's
+poles depend on its own reflections only, so batch rows keep their seeds;
+a frequency whose finder meets a degenerate or non-finite reflection takes
+none, as do rows above k0 gap = pi max_subdivisions, which bounds the
+finder's arrays.
 
-The fringe constants are measured in u on gold/gold at 3 um (heat flux at
-rtol 1e-6, 400 K against 300 K, 872 790 inner points without poles) and
-on a ladder of 24 log frequencies in 5e13-3e15 rad/s at rtol 1e-7
-(energy points 54 810 without poles).  Steps 1, 2, 3, 5 and 19 gave
-ladder sums 54 525, 40 665, 35 535, 34 380 and 34 320; 3 keeps the
-finder to 4 reflections.  Ratios 2, 3 and 4 gave 756 525, 666 300 and
-735 300 heat-flux points, so the light lines' ratio 4 would cost 10 %
-here.  A gate of 1/4 of the spacing raised 4 of the 48 integrand-point
-sums of a grid of gold/gold, SiC/SiC, film/SiC and gold/SiC at gaps of
-1, 3 and 10 um, both kernels and rtol 1e-4 and 1e-7, above the same
-calls without poles (by up to 3.5 %, all at 1 um and rtol 1e-4); 1/8
-raised none, and cut the grid's totals from 699 150 and 938 610 to
-528 630 and 625 050 points.  Without the settle rule the heat flux took
-767 055 points and 12 of the grid's sums rose.  Poles kept down to
-v = 1e-300 put thousands of edges of a 30 um gold grid at grazing
-incidence, where (v k0)^2 underflows and the kernel is 0/0.
+Each grading constant names the measurement it rests on; the measurements
+are in README, Numerical notes.
 """
 
 from __future__ import annotations
@@ -239,26 +208,21 @@ NOISE_FRACTION = 1e-13
 # 11 840 for gold at 30 um); a test holds a 64-row SiC group's traced peak
 _OMEGA_GROUP = 64
 
-# blind seed panels of the two branches, before each frequency's light lines
-# and fringes: all of v = kz / (w/c), where the kernel is analytic at both
-# ends, and in t [0, 2e-3] and 11 logarithmic ones; every integral must still
-# meet its tolerance, so the seeds only set where refinement starts
+# blind seed panels of both branches (see the module docstring); every integral
+# must still meet its tolerance, so the seeds only set where refinement starts
 _PROP_SEEDS = [0.0, 1.0]
 _EVAN_SEEDS = [0.0, *np.geomspace(1e-4 * EVANESCENT_CUTOFF, EVANESCENT_CUTOFF, 12).tolist()]
-# graded light lines, both measured (see the module docstring): edges
-# c +- delta 4^k about a branch point c + i delta, where delta / c >= rtol^(2/3)
-_GRADE_RATIO = 4.0
-_GRADE_GATE = 2.0 / 3.0
+# graded edges c +- delta 4^k about c + i delta where delta / c >= rtol^(2/3)
+_GRADE_RATIO = 4.0          # fewest points on the spectrum benchmark's grids
+_GRADE_GATE = 2.0 / 3.0     # the same grids and the SiC pressure's miss
 # smallest evanescent light line kept: the Kronrod nodes of [0, t] stay normal floats
 _T_LINE_MIN = 1e3 * np.finfo(float).tiny
-# Fabry-Perot poles, all measured (see the module docstring): fixed-point
-# steps of the finder, the grading ratio, the widest pole graded (a fraction
-# of the fringe spacing), and the smallest v = kz / k0 of a pole or a
-# propagating edge, off grazing incidence, where a good reflector's kernel is 0/0
-_FRINGE_STEPS = 3
-_FRINGE_RATIO = 3.0
-_FRINGE_GATE = 1.0 / 8.0
-_V_MIN = 1e-6
+# Fabry-Perot poles: finder steps, grading ratio, widest pole graded (a fraction of
+# the spacing), smallest v = kz / k0 of a pole or a propagating edge, off grazing
+_FRINGE_STEPS = 3           # a ladder of 24 gold/gold frequencies at rtol 1e-7
+_FRINGE_RATIO = 3.0         # gold/gold heat flux at 3 um and rtol 1e-6
+_FRINGE_GATE = 1.0 / 8.0    # with the settle rule, a grid of four pairs at 1-10 um
+_V_MIN = 1e-6               # a 30 um gold grid, whose grazing poles made the kernel 0/0
 
 
 def _breakdown(system: GapSystem, omegas, spec: IntegrationSpec, momentum: bool = False):
@@ -310,9 +274,10 @@ def _graded(c, d, half, ratio):
 
 
 def _line_edges(row, b, rtol):
-    """(row, edge) seed edges of light lines in their branch variable: each
-    line at c = Re b, or, where rtol can see how far its branch point b lies
-    off the real axis, graded toward b within c/2."""
+    """(row, edge) seed edges toward complex points b: each at c = Re b, or,
+    where rtol can see how far b lies off the real axis, graded toward b
+    within c/2.  It serves both integrals: the light lines' branch points in
+    v or t, and the media's complex resonances in omega (spectral)."""
     c, d = b.real, np.abs(b.imag)
     graded = (d > 0.0) & (d >= c * rtol ** _GRADE_GATE)
     i, edges = _graded(c[graded], d[graded], 0.5 * c[graded], _GRADE_RATIO)
@@ -393,12 +358,9 @@ def _merged(seeds, n_rows: int, parts, lo: float, hi: float) -> list[np.ndarray]
 
 
 def _seed_edges(bodies, omegas: np.ndarray, gap: float, spec: IntegrationSpec):
-    """Per frequency, the sorted seed edges of both branches: the blind
-    seeds, every non-black medium's light line, graded where rtol asks
-    (_line_edges) toward its branch point v = sqrt(1 - eps mu) (Re eps mu < 1)
-    or t = gap k0 sqrt(eps mu - 1) (Re eps mu > 1), and the graded
-    Fabry-Perot poles (_fringe_edges) in v.  Edges below v = _V_MIN, or so
-    close to t = 0 that the nodes of [0, t] would underflow, are left out."""
+    """Per frequency, the sorted seed edges of both branches: the blind seeds,
+    every non-black medium's light line (_line_edges) and the Fabry-Perot
+    poles (_fringe_edges), above v = _V_MIN and t = _T_LINE_MIN."""
     k0, rows = omegas / _C, np.arange(len(omegas))
     prop, evan = [_fringe_edges(bodies, omegas, gap, spec.max_subdivisions)], []
     for body in bodies:

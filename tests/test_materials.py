@@ -9,7 +9,7 @@ import pytest
 
 from gaprad import (CONSTANTS, Black, Constant, Drude, LorentzSum, Tabulated,
                     eval_response, planck_energy, planck_energy_dT)
-from gaprad.materials import is_black
+from gaprad.materials import _resonances, is_black
 from conftest import random_material
 
 HBAR = CONSTANTS.hbar
@@ -44,6 +44,60 @@ def test_lorentz_at_resonance_matches_oscillator_sum():
     # on resonance the oscillator is purely absorptive
     assert abs(eps.imag - s * w0 / g) <= 1e-12 * (s * w0 / g)
     assert mu == 1 + 0j
+
+
+def _lorentz(inf, terms):
+    return lambda w: inf + sum(s * w0**2 / (w0**2 - w**2 - 1j * g * w) for s, w0, g in terms)
+
+
+def _kinds(response, w):
+    """Which of a pole, 0 and -1 the response is at each complex w, to 1e-12."""
+    with np.errstate(divide="ignore", invalid="ignore"):   # a lossless pole is exact
+        return [next(k for k, hit in (("pole", not np.isfinite(r) or abs(1.0 / r) <= 1e-12),
+                                      ("zero", abs(r) <= 1e-12), ("-1", abs(r + 1.0) <= 1e-12))
+                     if hit) for r in response(w)]
+
+
+def test_resonances_are_each_terms_poles_zeros_and_minus_one():
+    sic = ((3.2977, 1.494e14, 8.9e11),)
+    w = _resonances(LorentzSum(6.7, sic))
+    assert sorted(_kinds(_lorentz(6.7, sic), w)) == ["-1", "pole", "zero"]
+    assert (w.real > 0.0).all() and np.allclose(w.imag, -0.5 * 8.9e11, rtol=1e-12)
+    # the magnetic response has its own, at the same frequencies
+    w_mu = _resonances(LorentzSum(1.0, (), mu_inf=6.7, mu_terms=sic))
+    assert np.allclose(np.sort_complex(w_mu), np.sort_complex(w), rtol=1e-15)
+    gold = Drude(1.0, 1.37e16, 4.05e13)
+    w = _resonances(gold)
+    assert sorted(_kinds(lambda w: 1.0 - gold.omega_p**2 / (w**2 + 1j * gold.gamma * w), w)) == [
+        "-1", "zero"]
+    assert np.allclose(np.sort(w.real), [1.37e16 / math.sqrt(2.0), 1.37e16], rtol=1e-4)
+    for m in (Constant(2 + 1j), Black(),
+              Tabulated(np.array([1e13, 1e15]), np.array([2 + 1j, -3 + 1j]), np.ones(2, complex))):
+        assert len(_resonances(m)) == 0
+
+
+@pytest.mark.parametrize("inf, terms, kinds", [
+    (6.7, ((3.3, 1e14, 3e14),), []),                    # overdamped: gamma > 2 omega_0
+    (6.7, ((20.0, 1e14, 3e14),), ["-1", "zero"]),       # overdamped pole only
+    (6.7, ((3.3, 1.5e14, 0.0),), ["-1", "pole", "zero"]),   # lossless: on the real axis
+    (-1.0, ((0.5, 1e14, 1e12),), ["pole", "zero"]),     # eps_inf = -1: no eps = -1 term
+    (-1.0, ((2.0, 1e14, 1e12),), ["pole"]),             # eps = 0 at an imaginary frequency
+], ids=["overdamped", "overdamped-pole", "lossless", "eps_inf=-1", "eps_inf=-1-no-zero"])
+def test_resonances_keep_to_positive_real_parts(inf, terms, kinds):
+    with np.errstate(all="raise"):
+        w = _resonances(LorentzSum(inf, terms))
+    assert (w.real > 0.0).all() and np.isfinite(w).all()
+    assert sorted(_kinds(_lorentz(inf, terms), w)) == kinds
+    if terms[0][2] == 0.0:
+        assert (w.imag == 0.0).all()
+
+
+def test_drude_resonances_skip_a_background_at_their_value():
+    # eps_inf = -1: eps = -1 only at infinity, and eps = 0 at an imaginary frequency
+    with np.errstate(all="raise"):
+        assert len(_resonances(Drude(-1.0, 1e16, 1e14))) == 0
+        w = _resonances(Drude(0.0, 1e16, 1e14))
+    assert _kinds(lambda w: -1e32 / (w**2 + 1e14j * w), w) == ["-1"]
 
 
 def test_lorentz_mu_terms():
